@@ -1,69 +1,36 @@
 /**
  * @file
- * Online serving simulation: a heterogeneous cluster (CPU + NMP + GPU
- * servers) rides a day of synchronized diurnal load, re-provisioned
- * every interval by a choice of cluster scheduler.
+ * Online serving simulation front door: a declarative scenario file
+ * (a .scn file, grammar in src/scenario/README.md; the shipped library
+ * is in scenarios/) is the whole experiment — the heterogeneous fleet,
+ * the services and their diurnal loads, the provisioner, router,
+ * admission control, power caps and faults. The file is run end to
+ * end through scenario::run(): a
+ * timestamped arrival trace flows through simulated server shards
+ * behind a query router while the cluster is re-provisioned every
+ * interval, and the run reports real tail latency, SLA violations and
+ * power per service. The result is written to BENCH_scenario.json.
  *
- * Three modes:
- *  - analytic (default): the Fig 13 capacity view — efficiency-tuple
- *    lookup, over-provision-rate estimation, interval-by-interval
- *    activation/release, provisioned power;
- *  - --trace: end-to-end serving — a timestamped diurnal arrival trace
- *    flows through simulated server shards behind a query router, and
- *    the run reports real tail latency and SLA violations instead of
- *    only analytic capacity. The legacy flags below are a spec
- *    builder: they assemble a scenario::ScenarioSpec and hand it to
- *    scenario::run(), the same entry point every serving experiment
- *    uses;
- *  - --scenario FILE: run a declarative scenario file (scenarios/
- *    *.scn, grammar in src/scenario/README.md) end to end and write
- *    its result to BENCH_scenario.json. All other experiment flags are
- *    ignored — the file is the whole experiment. With --parse-only the
- *    file is only parsed and validated (CI lints the shipped library
- *    this way).
+ * Usage: online_serving_sim --scenario FILE [--trace-out F]
+ *                           [--metrics-out F]
+ *        online_serving_sim --lint FILE
  *
- * Usage: online_serving_sim [hercules|greedy|nh] [--trace]
- *          [--horizon H] [--interval I]
- *          [--router rr|jsq|p2c|hercules|latency-feedback]
- *          [--services N] [--admission none|queue_cap|deadline]
- *          [--priorities p0,p1,...] [--power-cap W]
- *          [--faults SPEC] [--scenario FILE] [--parse-only]
- *
- * Fault injection: --faults takes comma-separated tokens — scripted
- * events crash@T:h:s, degrade@T:h:s:F, recover@T:h:s (trace hour T,
- * fleet index h, slot s, slowdown F) and seeded-process knobs seed=N,
- * crash_mtbf=H, crash_mttr=H, degrade_mtbf=H, degrade_mttr=H,
- * slowdown=F (src/fault/). Trace runs with faults print the shard
- * health-transition timeline next to the serving report.
- *
- * With --services N >= 2, trace mode co-serves N services (RMC1,
- * RMC2, RMC3 prefix) with phase-shifted diurnal peaks on the shared
- * fleet, reporting per-service tail latency and SLA violations next
- * to the cluster aggregate.
- *
- * QoS: --admission picks the per-shard admission policy (src/qos/),
- * --priorities assigns per-service shedding priorities (higher keeps
- * capacity longer when --power-cap forces shedding), and --router
- * latency-feedback routes on p99-feedback-adjusted weights.
- * Per-service admit / reject / drop / violation lines are printed for
- * every trace run.
+ *  - --scenario FILE: run the file end to end;
+ *  - --trace-out F / --metrics-out F: with --scenario, write sampled
+ *    per-query spans (JSONL) / the metrics registry to F, overriding
+ *    the spec's observability block;
+ *  - --lint FILE: statically analyze the file without running it
+ *    (stable E1xx/W2xx codes), exit 1 on any error.
  *
  * Unknown or malformed flags are named on stderr and exit non-zero.
  */
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cluster/cluster_manager.h"
-#include "core/profiler.h"
 #include "fault/fault.h"
 #include "qos/qos.h"
 #include "scenario/lint.h"
@@ -77,156 +44,22 @@ namespace {
 
 struct Args
 {
-    std::string policy = "hercules";
-    bool trace_mode = false;
-    double horizon_hours = 24.0;
-    double interval_hours = 0.5;
-    int num_services = 1;
-    sim::RouterPolicy router = sim::RouterPolicy::HerculesWeighted;
-    qos::AdmissionPolicy admission = qos::AdmissionPolicy::None;
-    std::vector<int> priorities;  ///< per service; empty = all equal
-    /** Global power cap (W); infinity = uncapped. */
-    double power_cap_w = std::numeric_limits<double>::infinity();
-    /** --faults: scripted events + seeded-process knobs (trace mode). */
-    fault::FaultSpec faults;
     std::string scenario_file;  ///< --scenario: run this spec file
-    bool parse_only = false;    ///< with --scenario: parse, don't run
     std::string lint_file;      ///< --lint: statically analyze a spec
     std::string trace_out;      ///< --trace-out: per-query JSONL spans
     std::string metrics_out;    ///< --metrics-out: metrics export
 };
-
-/**
- * Parse one --faults token list (see the file header) into `out`.
- * @return false with `bad` set to the offending token on error.
- */
-bool
-parseFaultTokens(const std::string& list, fault::FaultSpec& out,
-                 std::string& bad)
-{
-    auto num = [](const std::string& s, double* v) {
-        char* end = nullptr;
-        *v = std::strtod(s.c_str(), &end);
-        return !s.empty() && end == s.c_str() + s.size() &&
-               std::isfinite(*v);
-    };
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos)
-            comma = list.size();
-        std::string tok = list.substr(pos, comma - pos);
-        pos = comma + 1;
-        bad = tok;
-        size_t at = tok.find('@');
-        size_t eq = tok.find('=');
-        if (at != std::string::npos) {
-            // crash@T:h:s | degrade@T:h:s:F | recover@T:h:s
-            std::string verb = tok.substr(0, at);
-            std::vector<std::string> parts;
-            std::string rest = tok.substr(at + 1);
-            size_t p = 0;
-            while (p <= rest.size()) {
-                size_t colon = rest.find(':', p);
-                if (colon == std::string::npos)
-                    colon = rest.size();
-                parts.push_back(rest.substr(p, colon - p));
-                p = colon + 1;
-            }
-            size_t want = verb == "degrade" ? 4 : 3;
-            if ((verb != "crash" && verb != "degrade" &&
-                 verb != "recover") ||
-                parts.size() != want)
-                return false;
-            fault::FaultEvent e;
-            double fi = 0.0, sl = 0.0;
-            if (!num(parts[0], &e.t_hours) || e.t_hours < 0.0)
-                return false;
-            if (!num(parts[1], &fi) || fi != std::floor(fi) ||
-                fi < 0.0)
-                return false;
-            if (!num(parts[2], &sl) || sl != std::floor(sl) ||
-                sl < 0.0)
-                return false;
-            e.fleet_index = static_cast<int>(fi);
-            e.slot = static_cast<int>(sl);
-            if (verb == "crash") {
-                e.state = fault::HealthState::Failed;
-            } else if (verb == "recover") {
-                e.state = fault::HealthState::Healthy;
-            } else {
-                e.state = fault::HealthState::Degraded;
-                if (!num(parts[3], &e.slowdown) || e.slowdown < 1.0)
-                    return false;
-            }
-            out.events.push_back(e);
-        } else if (eq != std::string::npos) {
-            std::string key = tok.substr(0, eq);
-            double v = 0.0;
-            if (!num(tok.substr(eq + 1), &v) || v < 0.0)
-                return false;
-            if (key == "seed") {
-                if (v != std::floor(v))
-                    return false;
-                out.seed = static_cast<uint64_t>(v);
-            } else if (key == "crash_mtbf") {
-                out.crash_mtbf_hours = v;
-            } else if (key == "crash_mttr") {
-                out.crash_mttr_hours = v;
-            } else if (key == "degrade_mtbf") {
-                out.degrade_mtbf_hours = v;
-            } else if (key == "degrade_mttr") {
-                out.degrade_mttr_hours = v;
-            } else if (key == "slowdown") {
-                if (v < 1.0)
-                    return false;
-                out.degrade_slowdown = v;
-            } else {
-                return false;
-            }
-        } else {
-            return false;
-        }
-    }
-    bad.clear();
-    return true;
-}
 
 void
 usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [hercules|greedy|nh] [options]\n"
-        "  --trace         serve a diurnal arrival trace through\n"
-        "                  simulated server shards (reports tail\n"
-        "                  latency); default is the analytic view\n"
-        "  --horizon H     horizon in hours (default 24)\n"
-        "  --interval I    re-provisioning interval in hours (0.5)\n"
-        "  --router R      trace-mode query router: rr, jsq, p2c,\n"
-        "                  hercules, latency-feedback (default\n"
-        "                  hercules)\n"
-        "  --services N    co-serve N services (1-3) in trace mode:\n"
-        "                  phase-shifted diurnal peaks on one shared\n"
-        "                  fleet, per-service SLA accounting\n"
-        "  --admission A   per-shard admission policy: none,\n"
-        "                  queue_cap, deadline (default none)\n"
-        "  --priorities P  comma-separated per-service shedding\n"
-        "                  priorities, e.g. 2,1,0 (higher keeps\n"
-        "                  capacity longer; only bites under\n"
-        "                  --power-cap)\n"
-        "  --power-cap W   global power cap in watts: the interval\n"
-        "                  allocation is shed (lowest priority, then\n"
-        "                  worst QPS/W first) until it fits\n"
-        "  --faults SPEC   trace-mode fault injection, comma-separated\n"
-        "                  tokens: crash@T:h:s, degrade@T:h:s:F,\n"
-        "                  recover@T:h:s (trace hour T, fleet index h,\n"
-        "                  slot s, slowdown F) and seeded-process\n"
-        "                  knobs seed=N, crash_mtbf=H, crash_mttr=H,\n"
-        "                  degrade_mtbf=H, degrade_mttr=H, slowdown=F\n"
+        "usage: %s --scenario F [--trace-out F] [--metrics-out F]\n"
+        "       %s --lint F\n"
         "  --scenario F    run scenario file F end to end (writes\n"
-        "                  BENCH_scenario.json); every other\n"
-        "                  experiment flag is ignored\n"
+        "                  BENCH_scenario.json); the file is the whole\n"
+        "                  experiment, see scenarios/*.scn\n"
         "  --trace-out F   with --scenario: write sampled per-query\n"
         "                  spans as JSONL to F (overrides the spec's\n"
         "                  observability.trace_file)\n"
@@ -234,133 +67,47 @@ usage(const char* argv0)
         "                  to F — .csv / .json by extension, else\n"
         "                  Prometheus-style text (overrides the\n"
         "                  spec's observability.metrics_file)\n"
-        "  --parse-only    with --scenario: parse + validate the\n"
-        "                  file, print its summary, don't run\n"
         "  --lint F        statically analyze scenario file F without\n"
         "                  running it: print every diagnostic (stable\n"
         "                  E1xx/W2xx codes, src/scenario/README.md)\n"
         "                  and exit 1 when any error is found; the\n"
         "                  spec's table_cache, when present on disk,\n"
         "                  enables the hardware-feasibility checks\n"
-        "tip: --trace --horizon 6 finishes in seconds.\n",
-        argv0);
+        "tip: scenarios/single_service.scn finishes in seconds.\n",
+        argv0, argv0);
 }
 
 bool
 parseArgs(int argc, char** argv, Args& out)
 {
-    auto reject = [&](const char* what, const std::string& a) {
-        std::fprintf(stderr, "error: %s '%s'\n", what, a.c_str());
-        return false;
-    };
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        auto value = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "hercules" || a == "greedy" || a == "nh") {
-            out.policy = a;
-        } else if (a == "--trace") {
-            out.trace_mode = true;
-        } else if (a == "--parse-only") {
-            out.parse_only = true;
-        } else if (a == "--scenario") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing file after", a);
-            out.scenario_file = v;
-        } else if (a == "--lint") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing file after", a);
-            out.lint_file = v;
-        } else if (a == "--trace-out") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing file after", a);
-            out.trace_out = v;
-        } else if (a == "--metrics-out") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing file after", a);
-            out.metrics_out = v;
-        } else if (a == "--horizon") {
-            const char* v = value();
-            if (v == nullptr || std::atof(v) <= 0.0)
-                return reject("missing or non-positive value for", a);
-            out.horizon_hours = std::atof(v);
-        } else if (a == "--interval") {
-            const char* v = value();
-            if (v == nullptr || std::atof(v) <= 0.0)
-                return reject("missing or non-positive value for", a);
-            out.interval_hours = std::atof(v);
-        } else if (a == "--router") {
-            const char* v = value();
-            auto p = v ? sim::parseRouterPolicy(v) : std::nullopt;
-            if (!p.has_value())
-                return reject("unknown router for", a);
-            out.router = *p;
-        } else if (a == "--services") {
-            const char* v = value();
-            if (v == nullptr || std::atoi(v) < 1 || std::atoi(v) > 3)
-                return reject("--services expects 1-3, got",
-                              v ? v : "(none)");
-            out.num_services = std::atoi(v);
-        } else if (a == "--admission") {
-            const char* v = value();
-            auto p = v ? qos::parseAdmissionPolicy(v) : std::nullopt;
-            if (!p.has_value())
-                return reject("unknown admission policy for", a);
-            out.admission = *p;
-        } else if (a == "--power-cap") {
-            const char* v = value();
-            if (v == nullptr || std::atof(v) <= 0.0)
-                return reject("missing or non-positive value for", a);
-            out.power_cap_w = std::atof(v);
-        } else if (a == "--faults") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing value for", a);
-            std::string bad;
-            if (!parseFaultTokens(v, out.faults, bad))
-                return reject("malformed --faults token", bad);
-        } else if (a == "--priorities") {
-            const char* v = value();
-            if (v == nullptr)
-                return reject("missing value for", a);
-            out.priorities.clear();
-            std::string list = v;
-            size_t pos = 0;
-            while (pos <= list.size()) {
-                size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string tok = list.substr(pos, comma - pos);
-                // Digits only (optional sign): atoi would silently
-                // read "high" as 0 and flatten the shedding order.
-                size_t d = tok.empty() ? 0
-                           : (tok[0] == '-' || tok[0] == '+') ? 1
-                                                              : 0;
-                if (d >= tok.size() ||
-                    tok.find_first_not_of("0123456789", d) !=
-                        std::string::npos)
-                    return reject("malformed priority list", list);
-                out.priorities.push_back(std::atoi(tok.c_str()));
-                pos = comma + 1;
-            }
-        } else {
-            return reject("unknown flag", a);
+        std::string* file = a == "--scenario"      ? &out.scenario_file
+                            : a == "--lint"        ? &out.lint_file
+                            : a == "--trace-out"   ? &out.trace_out
+                            : a == "--metrics-out" ? &out.metrics_out
+                                                   : nullptr;
+        if (file == nullptr || i + 1 >= argc) {
+            std::fprintf(stderr, "error: %s '%s'\n",
+                         file == nullptr ? "unknown flag"
+                                         : "missing file after",
+                         a.c_str());
+            return false;
         }
+        *file = argv[++i];
     }
-    if (out.parse_only && out.scenario_file.empty())
-        return reject("--parse-only requires", "--scenario");
+    if (out.scenario_file.empty() && out.lint_file.empty()) {
+        std::fprintf(stderr, "error: nothing to do: pass --scenario or "
+                             "--lint\n");
+        return false;
+    }
     return true;
 }
 
 /**
- * The per-service QoS accounting lines every trace run prints:
- * admitted vs rejected (admission control) vs dropped (no capacity),
- * and the violation count behind the rate.
+ * The per-service QoS accounting lines every run prints: admitted vs
+ * rejected (admission control) vs dropped (no capacity), and the
+ * violation count behind the rate.
  */
 void
 printQosLines(const std::vector<sim::ServiceRunStats>& services,
@@ -378,73 +125,26 @@ printQosLines(const std::vector<sim::ServiceRunStats>& services,
     }
 }
 
-/** The legacy --trace flags, assembled into a scenario spec. */
-scenario::ScenarioSpec
-buildTraceSpec(const Args& args)
-{
-    scenario::ScenarioSpec spec;
-    spec.name = args.num_services > 1 ? "online_serving_multi"
-                                      : "online_serving";
-    spec.fleet = {{hw::ServerType::T2, 2},
-                  {hw::ServerType::T3, 2},
-                  {hw::ServerType::T7, 1}};
-    const std::vector<model::ModelId> all_models = {
-        model::ModelId::DlrmRmc1, model::ModelId::DlrmRmc2,
-        model::ModelId::DlrmRmc3};
-    const size_t S = static_cast<size_t>(args.num_services);
-    for (size_t s = 0; s < S; ++s) {
-        scenario::ServiceScenario svc;
-        svc.spec.model = all_models[s];
-        svc.spec.load.trough_frac = 0.35;
-        svc.spec.load.seed = 5 + s;
-        if (S == 1) {
-            svc.peak_qps_frac = 0.6;
-        } else {
-            svc.peak_qps_frac = 0.5 / static_cast<double>(S);
-            // Spread the daily peaks: co-serving rides the offsets.
-            svc.spec.load.peak_hour =
-                20.0 - 8.0 * static_cast<double>(s);
-            if (s < args.priorities.size())
-                svc.spec.qos.priority = args.priorities[s];
-        }
-        spec.services.push_back(std::move(svc));
-    }
-    auto kind = scenario::parseProvisionerKind(args.policy);
-    spec.provisioner = kind.value_or(scenario::ProvisionerKind::Hercules);
-    spec.serve.horizon_hours = args.horizon_hours;
-    spec.serve.interval_hours = args.interval_hours;
-    spec.serve.router = args.router;
-    spec.serve.admission.policy = args.admission;
-    spec.serve.power_cap_w = args.power_cap_w;
-    // One simulated second stands for 480 wall-clock seconds:
-    // instantaneous QPS (and so all queueing dynamics) is unchanged,
-    // only the simulated span and query count shrink.
-    spec.serve.trace.time_compression = 480.0;
-    spec.serve.trace.seed = 42;
-    spec.serve.faults = args.faults;
-    return spec;
-}
-
-/** Run one spec end to end and print the trace-mode report. */
+/** Run one spec end to end, print the report, write the JSON. */
 int
-runSpec(scenario::ScenarioSpec spec, bool write_json)
+runSpec(const scenario::ScenarioSpec& spec)
 {
-    std::printf("profiling the fleet...\n");
-    core::EfficiencyTable table = scenario::profileTable(spec);
-
     const size_t S = spec.services.size();
     std::printf("scenario '%s': fleet", spec.name.c_str());
     for (const scenario::FleetEntry& e : spec.fleet)
         std::printf(" %s x%d", hw::serverTypeName(e.type),
                     e.shard_slots);
     std::printf(", %zu service%s, router %s, admission %s, "
-                "provisioner %s\n\n",
+                "provisioner %s\n",
                 S, S == 1 ? "" : "s",
                 sim::routerPolicyName(spec.serve.router),
                 qos::admissionPolicyName(spec.serve.admission.policy),
                 scenario::provisionerKindName(spec.provisioner));
 
-    scenario::ScenarioResult r = scenario::run(spec, &table);
+    std::printf("profiling the fleet and serving...\n");
+    scenario::ScenarioResult r = scenario::run(spec);
+    std::printf("profile %.1f ms, serve %.1f ms\n\n",
+                r.profile_wall_ms, r.serve_wall_ms);
     const sim::ClusterSimResult& sim = r.serve.sim;
     const scenario::ScenarioSpec& rs = r.resolved;
 
@@ -528,14 +228,9 @@ runSpec(scenario::ScenarioSpec spec, bool write_json)
     if (!rs.observability.metrics_file.empty())
         std::printf("wrote %s (metrics registry)\n",
                     rs.observability.metrics_file.c_str());
-    if (write_json) {
-        if (scenario::writeResultJson("BENCH_scenario.json", r,
-                                      bench::gitSha()))
-            std::printf("wrote BENCH_scenario.json\n");
-    } else {
-        std::printf("tip: put this experiment in a file — see "
-                    "scenarios/*.scn and --scenario.\n");
-    }
+    if (scenario::writeResultJson("BENCH_scenario.json", r,
+                                  bench::gitSha()))
+        std::printf("wrote BENCH_scenario.json\n");
     return 0;
 }
 
@@ -594,24 +289,12 @@ runScenarioFile(const Args& args)
         return 1;
     }
     // Parsing alone accepts specs that cannot run (empty fleet,
-    // unsorted cap schedule, ...): lint with the same semantic checks
-    // run() enforces, so --parse-only catches them at exit 1 instead
-    // of CI discovering a fatal() later.
+    // unsorted cap schedule, ...): reject them here with exit 1
+    // instead of a fatal() inside scenario::run().
     if (!scenario::validateSpec(*spec, &err)) {
         std::fprintf(stderr, "error: %s: %s\n",
                      args.scenario_file.c_str(), err.c_str());
         return 1;
-    }
-    if (args.parse_only) {
-        std::printf("%s: ok — scenario '%s' (%zu fleet type%s, %zu "
-                    "service%s, %.0fh horizon)\n",
-                    args.scenario_file.c_str(), spec->name.c_str(),
-                    spec->fleet.size(),
-                    spec->fleet.size() == 1 ? "" : "s",
-                    spec->services.size(),
-                    spec->services.size() == 1 ? "" : "s",
-                    spec->serve.horizon_hours);
-        return 0;
     }
     // CLI telemetry overrides beat the spec's observability block, so
     // any scenario can be traced without editing its file.
@@ -619,72 +302,7 @@ runScenarioFile(const Args& args)
         spec->observability.trace_file = args.trace_out;
     if (!args.metrics_out.empty())
         spec->observability.metrics_file = args.metrics_out;
-    return runSpec(std::move(*spec), /*write_json=*/true);
-}
-
-int
-runAnalytic(const Args& args, cluster::Provisioner& policy,
-            const core::EfficiencyTable& table,
-            const std::vector<hw::ServerType>& fleet,
-            const std::vector<model::ModelId>& services)
-{
-    cluster::ProvisionProblem problem =
-        cluster::ProvisionProblem::fromTable(table, fleet, services);
-
-    std::vector<cluster::ClusterWorkload> workloads(2);
-    workloads[0].model = services[0];
-    workloads[0].load.peak_qps = 60'000;
-    workloads[0].load.seed = 5;
-    workloads[1].model = services[1];
-    workloads[1].load.peak_qps = 12'000;
-    workloads[1].load.seed = 6;
-
-    // The over-provision rate R comes from the load history (paper
-    // §IV-C): the largest inter-interval increase.
-    workload::DiurnalLoad probe(workloads[0].load);
-    double r = cluster::estimateOverprovisionRate(probe,
-                                                  args.interval_hours);
-    std::printf("estimated over-provision rate R = %.1f%%\n\n", r * 100.0);
-
-    cluster::ClusterManagerOptions opt;
-    opt.horizon_hours = args.horizon_hours;
-    opt.interval_hours = args.interval_hours;
-    opt.overprovision_rate = r;
-    cluster::ClusterRunResult run =
-        cluster::runCluster(problem, workloads, policy, opt);
-
-    TablePrinter t({"Hour", "RMC1 load", "RMC2 load", "T2 on", "T3 on",
-                    "T7 on", "Power (kW)", "OK"});
-    for (size_t i = 0; i < run.intervals.size(); i += 3) {
-        const auto& iv = run.intervals[i];
-        t.addRow({fmtDouble(iv.t_hours, 1), fmtEng(iv.loads[0], 1),
-                  fmtEng(iv.loads[1], 1),
-                  std::to_string(iv.alloc.activatedOfType(0)),
-                  std::to_string(iv.alloc.activatedOfType(1)),
-                  std::to_string(iv.alloc.activatedOfType(2)),
-                  fmtDouble(iv.provisioned_power_w / 1e3, 2),
-                  iv.satisfied ? "y" : "N"});
-    }
-    t.print();
-
-    std::printf("\npeak: %d servers / %.1f kW;  average: %.1f servers / "
-                "%.1f kW;  unsatisfied intervals: %d\n",
-                run.peak_servers, run.peak_power_w / 1e3,
-                run.avg_servers, run.avg_power_w / 1e3,
-                run.unsatisfied_intervals);
-    std::printf("tip: run with 'greedy' or 'nh' to compare policies, or "
-                "--trace for end-to-end latency.\n");
-    return 0;
-}
-
-std::unique_ptr<cluster::Provisioner>
-makePolicy(const std::string& name)
-{
-    if (name == "greedy")
-        return std::make_unique<cluster::GreedyProvisioner>();
-    if (name == "nh")
-        return std::make_unique<cluster::NhProvisioner>(17);
-    return std::make_unique<cluster::HerculesProvisioner>();
+    return runSpec(*spec);
 }
 
 }  // namespace
@@ -697,44 +315,7 @@ main(int argc, char** argv)
         usage(argv[0]);
         return 2;
     }
-
     if (!args.lint_file.empty())
         return lintScenarioFile(args.lint_file);
-
-    if (!args.scenario_file.empty())
-        return runScenarioFile(args);
-
-    if (args.trace_mode) {
-        scenario::ScenarioSpec spec = buildTraceSpec(args);
-        // Catch --faults events aimed outside the built-in fleet at
-        // the flag layer (exit 2 + usage) instead of a fatal() later.
-        std::string err;
-        if (!scenario::validateSpec(spec, &err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-        std::printf("== %.0fh online serving (%s scheduler, trace "
-                    "mode) ==\n\n",
-                    args.horizon_hours, args.policy.c_str());
-        return runSpec(std::move(spec), /*write_json=*/false);
-    }
-
-    std::unique_ptr<cluster::Provisioner> policy =
-        makePolicy(args.policy);
-    std::printf("== %.0fh online serving (%s scheduler, analytic mode) "
-                "==\n\n",
-                args.horizon_hours, policy->name());
-
-    const std::vector<hw::ServerType> fleet = {
-        hw::ServerType::T2, hw::ServerType::T3, hw::ServerType::T7};
-    const std::vector<model::ModelId> services = {
-        model::ModelId::DlrmRmc1, model::ModelId::DlrmRmc2};
-
-    std::printf("profiling the fleet...\n");
-    core::ProfilerOptions popt;
-    popt.servers = fleet;
-    popt.models = services;
-    core::EfficiencyTable table = core::offlineProfile(popt);
-    return runAnalytic(args, *policy, table, fleet, services);
+    return runScenarioFile(args);
 }

@@ -97,23 +97,13 @@ EfficiencyTable::tryReadCsv(const std::string& path)
         const auto& r = rows[i];
         if (r.size() < 7)
             return std::nullopt;
-        EfficiencyEntry e;
-        bool found_server = false;
-        for (hw::ServerType t : hw::allServerTypes()) {
-            if (r[0] == hw::serverTypeName(t)) {
-                e.server = t;
-                found_server = true;
-            }
-        }
-        bool found_model = false;
-        for (model::ModelId m : model::allModels()) {
-            if (r[1] == model::modelName(m)) {
-                e.model = m;
-                found_model = true;
-            }
-        }
-        if (!found_server || !found_model)
+        std::optional<hw::ServerType> server = hw::parseServerType(r[0]);
+        std::optional<model::ModelId> model = model::parseModel(r[1]);
+        if (!server.has_value() || !model.has_value())
             return std::nullopt;
+        EfficiencyEntry e;
+        e.server = *server;
+        e.model = *model;
         e.feasible = r[2] == "1";
         try {
             e.qps = std::stod(r[3]);

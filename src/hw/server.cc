@@ -33,6 +33,15 @@ allServerTypes()
     return types;
 }
 
+std::optional<ServerType>
+parseServerType(const std::string& name)
+{
+    for (ServerType t : allServerTypes())
+        if (name == serverTypeName(t))
+            return t;
+    return std::nullopt;
+}
+
 namespace {
 
 ServerSpec

@@ -33,6 +33,9 @@ const char* serverTypeName(ServerType t);
 /** @return all ten server types in catalog order. */
 const std::vector<ServerType>& allServerTypes();
 
+/** Parse a type name as printed by serverTypeName(). */
+std::optional<ServerType> parseServerType(const std::string& name);
+
 /** One server architecture: CPU socket + memory + optional GPU. */
 struct ServerSpec
 {

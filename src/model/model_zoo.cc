@@ -30,6 +30,15 @@ modelName(ModelId id)
     panic("unknown ModelId %d", static_cast<int>(id));
 }
 
+std::optional<ModelId>
+parseModel(const std::string& name)
+{
+    for (ModelId id : allModels())
+        if (name == modelName(id))
+            return id;
+    return std::nullopt;
+}
+
 const char*
 modelService(ModelId id)
 {

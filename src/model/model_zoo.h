@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,9 @@ const std::vector<ModelId>& allModels();
 
 /** @return canonical display name, e.g. "DLRM-RMC1". */
 const char* modelName(ModelId id);
+
+/** Parse a model name as printed by modelName(). */
+std::optional<ModelId> parseModel(const std::string& name);
 
 /** @return the service category from Table I, e.g. "Social Media". */
 const char* modelService(ModelId id);

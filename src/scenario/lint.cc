@@ -291,6 +291,12 @@ class Linter
     checkObservability()
     {
         const obs::ObsSpec& o = spec_.observability;
+        if (!(o.sample_rate >= 0.0) || !(o.sample_rate <= 1.0)) {
+            error("E114", "observability.sample_rate",
+                  "sample_rate must be in [0, 1] (got " +
+                      num(o.sample_rate) + ")");
+            return;  // the dead-knob checks below assume a valid rate
+        }
         // sample_rate only thins the per-query trace; with no
         // trace_file there is nothing to thin. Rate 1.0 is the
         // default (indistinguishable from "unset"), so only a

@@ -82,7 +82,8 @@ std::string formatDiagnostic(const Diagnostic& d);
  *
  * Errors are a superset of validateSpec(): any spec validateSpec()
  * rejects lints with at least one E1xx, so a lint-clean spec never
- * fatals inside scenario::run() for structural reasons.
+ * fatals inside scenario::run() for structural reasons (pinned by
+ * tests/test_lint.cc:ErrorsCoverEveryValidateSpecRejection).
  */
 std::vector<Diagnostic> lint(const ScenarioSpec& spec,
                              const core::EfficiencyTable* table = nullptr);

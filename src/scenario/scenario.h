@@ -176,9 +176,10 @@ void resolvePeaks(ScenarioSpec& spec,
 /**
  * Semantic validation of a parsed spec — the same checks run()
  * enforces fatally (non-empty fleet/services, positive slots and
- * horizon/interval, sorted power-cap schedule), non-fatally so lint
- * paths (--parse-only, CI scenario-smoke) can reject a spec that
- * parses but cannot run.
+ * horizon/interval, sorted power-cap schedule), non-fatally so a front
+ * door (`online_serving_sim --scenario`) can reject a spec that parses
+ * but cannot run. scenario::lint() reports an E1xx error for every
+ * spec this rejects.
  * @return true when the spec is runnable; else fills *error.
  */
 bool validateSpec(const ScenarioSpec& spec,

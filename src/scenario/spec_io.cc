@@ -1,13 +1,17 @@
 #include "scenario/spec_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "fault/fault.h"
 #include "model/model_zoo.h"
@@ -312,520 +316,6 @@ class Parser
     int line_ = 1;
 };
 
-// ---- binder --------------------------------------------------------------
-
-/**
- * Reads one object's keys onto spec fields, tracking which keys were
- * consumed so finish() can reject unknown ones with their line.
- * Absent keys leave the (default-initialized) target untouched.
- */
-class ObjectReader
-{
-  public:
-    ObjectReader(const Value& v, std::string ctx, std::string* err)
-        : v_(v), ctx_(std::move(ctx)), err_(err),
-          used_(v.fields.size(), false)
-    {
-    }
-
-    const Value*
-    find(const char* key)
-    {
-        for (size_t i = 0; i < v_.fields.size(); ++i)
-            if (v_.fields[i].key == key) {
-                used_[i] = true;
-                return &v_.fields[i].value;
-            }
-        return nullptr;
-    }
-
-    bool
-    typeError(const Value& v, const char* key, const char* want)
-    {
-        *err_ = fmt("line %d: key '%s' in %s expects %s (got %s)",
-                    v.line, key, ctx_.c_str(), want, kindName(v.kind));
-        return false;
-    }
-
-    bool
-    number(const char* key, double* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Number)
-            return typeError(*v, key, "a number");
-        *out = v->num;
-        return true;
-    }
-
-    /**
-     * number() that additionally rejects values below `lo` (strictly
-     * below, or equal when `strict`) with a "must be <desc>" error.
-     * The comparison is written to also reject NaN, which a hand-built
-     * Value could carry even though the grammar cannot produce one.
-     */
-    bool
-    numberMin(const char* key, double lo, bool strict,
-              const char* desc, double* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Number)
-            return typeError(*v, key, "a number");
-        bool bad = strict ? !(v->num > lo) : !(v->num >= lo);
-        if (bad) {
-            *err_ = fmt("line %d: key '%s' in %s must be %s (got %g)",
-                        v->line, key, ctx_.c_str(), desc, v->num);
-            return false;
-        }
-        *out = v->num;
-        return true;
-    }
-
-    bool
-    nonNegative(const char* key, double* out)
-    {
-        return numberMin(key, 0.0, false, "non-negative", out);
-    }
-
-    bool
-    positive(const char* key, double* out)
-    {
-        return numberMin(key, 0.0, true, "positive", out);
-    }
-
-    bool
-    integer(const char* key, long long lo, long long hi,
-            long long* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Number ||
-            v->num != std::floor(v->num))
-            return typeError(*v, key, "an integer");
-        if (v->num < static_cast<double>(lo) ||
-            v->num > static_cast<double>(hi)) {
-            *err_ = fmt("line %d: key '%s' in %s is out of range",
-                        v->line, key, ctx_.c_str());
-            return false;
-        }
-        *out = static_cast<long long>(v->num);
-        return true;
-    }
-
-    bool
-    intField(const char* key, int* out)
-    {
-        long long v = *out;
-        if (!integer(key, -2147483648LL, 2147483647LL, &v))
-            return false;
-        *out = static_cast<int>(v);
-        return true;
-    }
-
-    bool
-    u64Field(const char* key, uint64_t* out)
-    {
-        // Seeds ride through the number grammar: exact up to 2^53.
-        long long v = static_cast<long long>(*out);
-        if (!integer(key, 0, 9007199254740992LL, &v))
-            return false;
-        *out = static_cast<uint64_t>(v);
-        return true;
-    }
-
-    bool
-    sizeField(const char* key, size_t* out)
-    {
-        long long v = static_cast<long long>(*out);
-        if (!integer(key, 0, 9007199254740992LL, &v))
-            return false;
-        *out = static_cast<size_t>(v);
-        return true;
-    }
-
-    bool
-    str(const char* key, std::string* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::String)
-            return typeError(*v, key, "a string");
-        *out = v->str;
-        return true;
-    }
-
-    bool
-    boolean(const char* key, bool* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::Bool)
-            return typeError(*v, key, "a boolean");
-        *out = v->boolean;
-        return true;
-    }
-
-    /**
-     * Look up a string key and map it through `parse` (an enum-name
-     * parser); absent keys keep the default.
-     */
-    template <typename T, typename ParseFn>
-    bool
-    named(const char* key, const char* what, ParseFn parse, T* out)
-    {
-        const Value* v = find(key);
-        if (v == nullptr)
-            return true;
-        if (v->kind != Value::Kind::String)
-            return typeError(*v, key, "a string");
-        auto parsed = parse(v->str);
-        if (!parsed.has_value()) {
-            *err_ = fmt("line %d: unknown %s '%s' in %s", v->line,
-                        what, v->str.c_str(), ctx_.c_str());
-            return false;
-        }
-        *out = *parsed;
-        return true;
-    }
-
-    /** Typed sub-value lookup; null when absent, error on wrong kind. */
-    const Value*
-    sub(const char* key, Value::Kind kind, bool* ok)
-    {
-        *ok = true;
-        const Value* v = find(key);
-        if (v == nullptr)
-            return nullptr;
-        if (v->kind != kind) {
-            *ok = typeError(*v, key,
-                            kind == Value::Kind::Object ? "an object"
-                                                        : "an array");
-            return nullptr;
-        }
-        return v;
-    }
-
-    bool
-    finish()
-    {
-        for (size_t i = 0; i < v_.fields.size(); ++i)
-            if (!used_[i]) {
-                *err_ = fmt("line %d: unknown key '%s' in %s",
-                            v_.fields[i].line,
-                            v_.fields[i].key.c_str(), ctx_.c_str());
-                return false;
-            }
-        return true;
-    }
-
-    const std::string& ctx() const { return ctx_; }
-
-  private:
-    const Value& v_;
-    std::string ctx_;
-    std::string* err_;
-    std::vector<bool> used_;
-};
-
-std::optional<hw::ServerType>
-parseServerTypeName(const std::string& s)
-{
-    for (hw::ServerType t : hw::allServerTypes())
-        if (s == hw::serverTypeName(t))
-            return t;
-    return std::nullopt;
-}
-
-std::optional<model::ModelId>
-parseModelName(const std::string& s)
-{
-    for (model::ModelId m : model::allModels())
-        if (s == model::modelName(m))
-            return m;
-    return std::nullopt;
-}
-
-// ---- per-section binders -------------------------------------------------
-
-bool
-bindFleetEntry(const Value& v, const std::string& ctx, FleetEntry* out,
-               std::string* err)
-{
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (r.find("type") == nullptr) {
-        *err = fmt("line %d: missing key 'type' in %s", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    // find() only marks the key consumed, so re-reading it below is
-    // harmless.
-    if (!r.named("type", "server type", parseServerTypeName,
-                 &out->type))
-        return false;
-    if (!r.intField("slots", &out->shard_slots))
-        return false;
-    return r.finish();
-}
-
-bool
-bindCapPoint(const Value& v, const std::string& ctx,
-             cluster::PowerCapPoint* out, std::string* err)
-{
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (!r.nonNegative("from_hour", &out->from_hour))
-        return false;
-    if (!r.nonNegative("cap_w", &out->cap_w))
-        return false;
-    return r.finish();
-}
-
-bool
-bindFaultEvent(const Value& v, const std::string& ctx,
-               fault::FaultEvent* out, std::string* err)
-{
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (!r.nonNegative("at_hour", &out->t_hours))
-        return false;
-    if (!r.intField("fleet", &out->fleet_index))
-        return false;
-    if (!r.intField("slot", &out->slot))
-        return false;
-    if (!r.named("state", "health state", fault::parseHealthState,
-                 &out->state))
-        return false;
-    if (!r.numberMin("slowdown", 1.0, false, ">= 1", &out->slowdown))
-        return false;
-    return r.finish();
-}
-
-bool
-bindService(const Value& v, const std::string& ctx,
-            ServiceScenario* out, std::string* err)
-{
-    if (v.kind != Value::Kind::Object) {
-        *err = fmt("line %d: %s expects an object", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    ObjectReader r(v, ctx, err);
-    if (r.find("model") == nullptr) {
-        *err = fmt("line %d: missing key 'model' in %s", v.line,
-                   ctx.c_str());
-        return false;
-    }
-    cluster::ServiceSpec& s = out->spec;
-    bool ok = r.str("name", &out->name) &&
-              r.named("model", "model", parseModelName, &s.model) &&
-              r.nonNegative("peak_qps_frac", &out->peak_qps_frac) &&
-              r.nonNegative("peak_qps", &s.load.peak_qps) &&
-              r.number("trough_frac", &s.load.trough_frac) &&
-              r.number("peak_hour", &s.load.peak_hour) &&
-              r.number("noise_frac", &s.load.noise_frac) &&
-              r.u64Field("load_seed", &s.load.seed) &&
-              r.number("surge_hour", &s.load.surge_hour) &&
-              r.nonNegative("surge_hours", &s.load.surge_hours) &&
-              r.nonNegative("surge_factor", &s.load.surge_factor) &&
-              r.nonNegative("sla_ms", &s.sla_ms) &&
-              r.intField("priority", &s.qos.priority) &&
-              r.named("tier", "tier", qos::parseTier, &s.qos.tier) &&
-              r.nonNegative("qos_sla_ms", &s.qos.sla_ms) &&
-              r.number("size_median", &s.sizes.median) &&
-              r.number("size_sigma", &s.sizes.sigma) &&
-              r.intField("size_min", &s.sizes.min_size) &&
-              r.intField("size_max", &s.sizes.max_size) &&
-              r.number("pooling_sigma", &s.pooling.sigma);
-    return ok && r.finish();
-}
-
-bool
-bindSpec(const Value& root, ScenarioSpec* out, std::string* err)
-{
-    ObjectReader r(root, "scenario", err);
-    bool ok;
-
-    if (!r.str("name", &out->name) ||
-        !r.str("description", &out->description))
-        return false;
-
-    if (const Value* fleet = r.sub("fleet", Value::Kind::Array, &ok)) {
-        for (size_t i = 0; i < fleet->items.size(); ++i) {
-            FleetEntry e;
-            if (!bindFleetEntry(fleet->items[i],
-                                fmt("fleet[%zu]", i), &e, err))
-                return false;
-            out->fleet.push_back(e);
-        }
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* svcs =
-            r.sub("services", Value::Kind::Array, &ok)) {
-        for (size_t i = 0; i < svcs->items.size(); ++i) {
-            ServiceScenario s;
-            if (!bindService(svcs->items[i], fmt("services[%zu]", i),
-                             &s, err))
-                return false;
-            out->services.push_back(std::move(s));
-        }
-    } else if (!ok) {
-        return false;
-    }
-
-    if (!r.named("provisioner", "provisioner", parseProvisionerKind,
-                 &out->provisioner) ||
-        !r.u64Field("nh_seed", &out->nh_seed) ||
-        !r.boolean("lint", &out->lint) ||
-        !r.named("router", "router policy", sim::parseRouterPolicy,
-                 &out->serve.router) ||
-        !r.u64Field("router_seed", &out->serve.router_seed) ||
-        !r.positive("horizon_hours", &out->serve.horizon_hours) ||
-        !r.positive("interval_hours", &out->serve.interval_hours) ||
-        !r.nonNegative("sla_ms", &out->serve.sla_ms) ||
-        // A negative overprovision_rate means "estimate from the
-        // curve", so it stays a plain number.
-        !r.number("overprovision_rate",
-                  &out->serve.overprovision_rate) ||
-        !r.nonNegative("power_cap_w", &out->serve.power_cap_w))
-        return false;
-
-    if (const Value* fb = r.sub("feedback", Value::Kind::Object, &ok)) {
-        ObjectReader fr(*fb, "feedback", err);
-        if (!fr.number("gain", &out->serve.feedback.gain) ||
-            !fr.number("floor_frac", &out->serve.feedback.floor_frac) ||
-            !fr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* ad =
-            r.sub("admission", Value::Kind::Object, &ok)) {
-        ObjectReader ar(*ad, "admission", err);
-        qos::AdmissionConfig& a = out->serve.admission;
-        if (!ar.named("policy", "admission policy",
-                      qos::parseAdmissionPolicy, &a.policy) ||
-            !ar.sizeField("queue_cap", &a.queue_cap) ||
-            !ar.number("deadline_slack", &a.deadline_slack) ||
-            !ar.boolean("cross_shard_retry", &a.cross_shard_retry) ||
-            !ar.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* sched =
-            r.sub("power_cap_schedule", Value::Kind::Array, &ok)) {
-        for (size_t i = 0; i < sched->items.size(); ++i) {
-            cluster::PowerCapPoint p;
-            if (!bindCapPoint(sched->items[i],
-                              fmt("power_cap_schedule[%zu]", i), &p,
-                              err))
-                return false;
-            out->serve.power_cap_schedule.push_back(p);
-        }
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* fl = r.sub("faults", Value::Kind::Object, &ok)) {
-        ObjectReader fr(*fl, "faults", err);
-        fault::FaultSpec& fs = out->serve.faults;
-        if (!fr.u64Field("seed", &fs.seed) ||
-            !fr.nonNegative("crash_mtbf_hours",
-                            &fs.crash_mtbf_hours) ||
-            !fr.nonNegative("crash_mttr_hours",
-                            &fs.crash_mttr_hours) ||
-            !fr.nonNegative("degrade_mtbf_hours",
-                            &fs.degrade_mtbf_hours) ||
-            !fr.nonNegative("degrade_mttr_hours",
-                            &fs.degrade_mttr_hours) ||
-            !fr.numberMin("degrade_slowdown", 1.0, false, ">= 1",
-                          &fs.degrade_slowdown))
-            return false;
-        bool fok;
-        if (const Value* evs =
-                fr.sub("events", Value::Kind::Array, &fok)) {
-            for (size_t i = 0; i < evs->items.size(); ++i) {
-                fault::FaultEvent e;
-                if (!bindFaultEvent(evs->items[i],
-                                    fmt("faults.events[%zu]", i), &e,
-                                    err))
-                    return false;
-                fs.events.push_back(e);
-            }
-        } else if (!fok) {
-            return false;
-        }
-        if (!fr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* tr = r.sub("trace", Value::Kind::Object, &ok)) {
-        ObjectReader tro(*tr, "trace", err);
-        workload::TraceOptions& t = out->serve.trace;
-        if (!tro.number("bucket_seconds", &t.bucket_seconds) ||
-            !tro.number("time_compression", &t.time_compression) ||
-            !tro.u64Field("seed", &t.seed) || !tro.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* pf = r.sub("profile", Value::Kind::Object, &ok)) {
-        ObjectReader pr(*pf, "profile", err);
-        ProfileSpec& p = out->profile;
-        if (!pr.str("table_cache", &p.table_cache) ||
-            !pr.str("eval_memo", &p.eval_memo) ||
-            !pr.intField("num_queries", &p.num_queries) ||
-            !pr.intField("warmup_queries", &p.warmup_queries) ||
-            !pr.intField("bisect_iters", &p.bisect_iters) ||
-            !pr.u64Field("seed", &p.seed) || !pr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    if (const Value* ob = r.sub("observability", Value::Kind::Object,
-                                &ok)) {
-        ObjectReader obr(*ob, "observability", err);
-        obs::ObsSpec& o = out->observability;
-        if (!obr.str("trace_file", &o.trace_file) ||
-            !obr.str("metrics_file", &o.metrics_file) ||
-            !obr.number("sample_rate", &o.sample_rate) || !obr.finish())
-            return false;
-    } else if (!ok) {
-        return false;
-    }
-
-    return r.finish();
-}
-
-// ---- serializer ----------------------------------------------------------
-
 /** Shortest decimal that round-trips through strtod. */
 std::string
 fmtNumber(double v)
@@ -863,99 +353,464 @@ quote(const std::string& s)
     return out;
 }
 
-/** "key": value fragments of one object, joined by the emitters. */
-class Fragments
+// ---- field tables --------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/**
+ * A value kind: which text value a member accepts, its range, and how
+ * the member is stored and written back. Object and Array rows bind
+ * through the row's Table instead of store/text.
+ */
+struct Kind
+{
+    Value::Kind accepts;
+    const char* what;            ///< "expects <what>"
+    const char* name = nullptr;  ///< "must be <name>", "unknown <name>"
+    double lo = -kInf, hi = kInf;  ///< numbers: the accepted range
+    bool integral = false;         ///< numbers: whole values only
+    bool (*store)(void* m, const Value& v) = nullptr;  ///< false: no name
+    std::string (*text)(const void* m) = nullptr;  ///< "": no literal
+};
+
+/** A Kind for members of type T, which the row macro checks. */
+template <typename T>
+struct KindOf : Kind
+{
+    using Member = T;
+};
+
+template <typename T>
+constexpr KindOf<T>
+scalar(const char* name = nullptr, double lo = -kInf, double hi = kInf)
+{
+    constexpr bool is_str = std::is_same_v<T, std::string>;
+    constexpr bool is_bool = std::is_same_v<T, bool>;
+    constexpr bool integral = std::is_integral_v<T> && !is_bool;
+    auto store = [](void* m, const Value& v) {
+        if constexpr (is_str)
+            *static_cast<T*>(m) = v.str;
+        else if constexpr (is_bool)
+            *static_cast<T*>(m) = v.boolean;
+        else
+            *static_cast<T*>(m) = static_cast<T>(v.num);
+        return true;
+    };
+    auto text = [](const void* m) -> std::string {
+        const T& v = *static_cast<const T*>(m);
+        if constexpr (is_str)
+            return quote(v);
+        else if constexpr (is_bool)
+            return v ? "true" : "false";
+        else
+            return std::isfinite(double(v)) ? fmtNumber(double(v)) : "";
+    };
+    return {{is_str    ? Value::Kind::String
+             : is_bool ? Value::Kind::Bool
+                       : Value::Kind::Number,
+             is_str     ? "a string"
+             : is_bool  ? "a boolean"
+             : integral ? "an integer"
+                        : "a number",
+             name, lo, hi, integral, store, text}};
+}
+
+/** An enum kind: names map through Parse/Name; `name` labels errors. */
+template <auto Name, auto Parse,
+          typename E = typename decltype(Parse(""))::value_type>
+constexpr KindOf<E>
+enumKind(const char* name)
+{
+    return {{Value::Kind::String, "a string", name, -kInf, kInf, false,
+             [](void* m, const Value& v) {
+                 std::optional<E> e = Parse(v.str);
+                 if (e.has_value())
+                     *static_cast<E*>(m) = *e;
+                 return e.has_value();
+             },
+             [](const void* m) -> std::string {
+                 return quote(Name(*static_cast<const E*>(m)));
+             }}};
+}
+
+// Seeds and sizes ride the number grammar, so they are exact to 2^53.
+const auto kNumber = scalar<double>();
+const auto kNonNeg = scalar<double>("non-negative", 0.0);
+const auto kPositive = scalar<double>("positive", 0x1p-1074);  // > 0
+const auto kAtLeast1 = scalar<double>(">= 1", 1.0);
+const auto kUnit = scalar<double>("in [0, 1]", 0.0, 1.0);
+const auto kInt = scalar<int>(nullptr, -0x1p31, 0x1p31 - 1);
+const auto kU64 = scalar<uint64_t>(nullptr, 0.0, 0x1p53);
+const auto kSize = scalar<size_t>(nullptr, 0.0, 0x1p53);
+const auto kString = scalar<std::string>();
+const auto kBool = scalar<bool>();
+const KindOf<void> kObject{{Value::Kind::Object, "an object"}};
+const KindOf<void> kArray{{Value::Kind::Array, "an array"}};
+
+const auto kServerType =
+    enumKind<hw::serverTypeName, hw::parseServerType>("server type");
+const auto kModel = enumKind<model::modelName, model::parseModel>("model");
+const auto kHealth =
+    enumKind<fault::healthStateName, fault::parseHealthState>(
+        "health state");
+const auto kTier = enumKind<qos::tierName, qos::parseTier>("tier");
+const auto kProvisioner =
+    enumKind<provisionerKindName, parseProvisionerKind>("provisioner");
+const auto kRouter = enumKind<sim::routerPolicyName, sim::parseRouterPolicy>(
+    "router policy");
+const auto kAdmissionPolicy =
+    enumKind<qos::admissionPolicyName, qos::parseAdmissionPolicy>(
+        "admission policy");
+
+constexpr uint8_t kRequired = 1;  ///< binding fails when it is absent
+constexpr uint8_t kAlways = 2;    ///< emitted even when at its default
+
+struct Table;
+
+/** One spec key: its name, kind, and where it lives in the object. */
+struct Row
+{
+    const char* key;
+    const Kind* kind;
+    void* (*at)(void* obj);  ///< the member inside `obj`
+    uint8_t flags = 0;
+    const Table* table = nullptr;  ///< Object/Array rows
+};
+
+/** The rows of one spec object type, in schema (= output) order. */
+struct Table
+{
+    const Row* rows;
+    size_t size;
+    bool multiline;   ///< one key per line even without a nested array
+    const void* def;  ///< a default-constructed object
+    // std::vector access for Array rows whose elements use this table.
+    size_t (*count)(const void* vec);
+    void* (*item)(void* vec, size_t i);  ///< i == count appends
+
+    const Row* begin() const { return rows; }
+    const Row* end() const { return rows + size; }
+};
+
+template <typename T>
+const T kDefault{};
+
+template <typename T, size_t N>
+constexpr Table
+table(const Row (&rows)[N], bool multiline = false)
+{
+    using Vec = std::vector<T>;
+    return {rows, N, multiline, &kDefault<T>,
+            [](const void* v) { return static_cast<const Vec*>(v)->size(); },
+            [](void* v, size_t i) -> void* {
+                Vec& vec = *static_cast<Vec*>(v);
+                return i < vec.size() ? &vec[i] : &vec.emplace_back();
+            }};
+}
+
+/**
+ * Row over objects of type T: key, kind, member[, flags[, table]]. The
+ * cast rejects a member whose type does not fit the kind.
+ */
+#define SPEC_ROW(T, key, kind, member, ...)                              \
+    Row{key, &kind,                                                      \
+        [](void* o) -> void* {                                           \
+            return static_cast<std::remove_cv_t<decltype(kind)>::Member*>( \
+                &static_cast<T*>(o)->member);                            \
+        },                                                               \
+        __VA_ARGS__}
+
+using Svc = ServiceScenario;
+using Spec = ScenarioSpec;
+using Event = fault::FaultEvent;
+using Faults = fault::FaultSpec;
+using Trace = workload::TraceOptions;
+
+const Row kFleetRows[] = {
+    SPEC_ROW(FleetEntry, "type", kServerType, type, kRequired | kAlways),
+    SPEC_ROW(FleetEntry, "slots", kInt, shard_slots),
+};
+const Row kServiceRows[] = {
+    SPEC_ROW(Svc, "name", kString, name),
+    SPEC_ROW(Svc, "model", kModel, spec.model, kRequired | kAlways),
+    SPEC_ROW(Svc, "peak_qps_frac", kNonNeg, peak_qps_frac),
+    SPEC_ROW(Svc, "peak_qps", kNonNeg, spec.load.peak_qps),
+    SPEC_ROW(Svc, "trough_frac", kNumber, spec.load.trough_frac),
+    SPEC_ROW(Svc, "peak_hour", kNumber, spec.load.peak_hour),
+    SPEC_ROW(Svc, "noise_frac", kNumber, spec.load.noise_frac),
+    SPEC_ROW(Svc, "load_seed", kU64, spec.load.seed),
+    SPEC_ROW(Svc, "surge_hour", kNumber, spec.load.surge_hour),
+    SPEC_ROW(Svc, "surge_hours", kNonNeg, spec.load.surge_hours),
+    SPEC_ROW(Svc, "surge_factor", kNonNeg, spec.load.surge_factor),
+    SPEC_ROW(Svc, "sla_ms", kNonNeg, spec.sla_ms),
+    SPEC_ROW(Svc, "priority", kInt, spec.qos.priority),
+    SPEC_ROW(Svc, "tier", kTier, spec.qos.tier),
+    SPEC_ROW(Svc, "qos_sla_ms", kNonNeg, spec.qos.sla_ms),
+    SPEC_ROW(Svc, "size_median", kNumber, spec.sizes.median),
+    SPEC_ROW(Svc, "size_sigma", kNumber, spec.sizes.sigma),
+    SPEC_ROW(Svc, "size_min", kInt, spec.sizes.min_size),
+    SPEC_ROW(Svc, "size_max", kInt, spec.sizes.max_size),
+    SPEC_ROW(Svc, "pooling_sigma", kNumber, spec.pooling.sigma),
+};
+const Row kFeedbackRows[] = {
+    SPEC_ROW(qos::FeedbackConfig, "gain", kNumber, gain),
+    SPEC_ROW(qos::FeedbackConfig, "floor_frac", kNumber, floor_frac),
+};
+const Row kAdmissionRows[] = {
+    SPEC_ROW(qos::AdmissionConfig, "policy", kAdmissionPolicy, policy),
+    SPEC_ROW(qos::AdmissionConfig, "queue_cap", kSize, queue_cap),
+    SPEC_ROW(qos::AdmissionConfig, "deadline_slack", kNumber, deadline_slack),
+    SPEC_ROW(qos::AdmissionConfig, "cross_shard_retry", kBool,
+             cross_shard_retry),
+};
+const Row kCapRows[] = {
+    SPEC_ROW(cluster::PowerCapPoint, "from_hour", kNonNeg, from_hour, kAlways),
+    SPEC_ROW(cluster::PowerCapPoint, "cap_w", kNonNeg, cap_w, kAlways),
+};
+// The state is always written: it IS the event, even when it is the
+// (default) recovery back to healthy.
+const Row kEventRows[] = {
+    SPEC_ROW(Event, "at_hour", kNonNeg, t_hours, kAlways),
+    SPEC_ROW(Event, "fleet", kInt, fleet_index),
+    SPEC_ROW(Event, "slot", kInt, slot),
+    SPEC_ROW(Event, "state", kHealth, state, kAlways),
+    SPEC_ROW(Event, "slowdown", kAtLeast1, slowdown),
+};
+const Table kEvent = table<Event>(kEventRows);
+const Row kFaultRows[] = {
+    SPEC_ROW(Faults, "seed", kU64, seed),
+    SPEC_ROW(Faults, "crash_mtbf_hours", kNonNeg, crash_mtbf_hours),
+    SPEC_ROW(Faults, "crash_mttr_hours", kNonNeg, crash_mttr_hours),
+    SPEC_ROW(Faults, "degrade_mtbf_hours", kNonNeg, degrade_mtbf_hours),
+    SPEC_ROW(Faults, "degrade_mttr_hours", kNonNeg, degrade_mttr_hours),
+    SPEC_ROW(Faults, "degrade_slowdown", kAtLeast1, degrade_slowdown),
+    SPEC_ROW(Faults, "events", kArray, events, 0, &kEvent),
+};
+const Row kTraceRows[] = {
+    SPEC_ROW(Trace, "bucket_seconds", kNumber, bucket_seconds),
+    SPEC_ROW(Trace, "time_compression", kNumber, time_compression),
+    SPEC_ROW(Trace, "seed", kU64, seed),
+};
+const Row kProfileRows[] = {
+    SPEC_ROW(ProfileSpec, "table_cache", kString, table_cache),
+    SPEC_ROW(ProfileSpec, "eval_memo", kString, eval_memo),
+    SPEC_ROW(ProfileSpec, "num_queries", kInt, num_queries),
+    SPEC_ROW(ProfileSpec, "warmup_queries", kInt, warmup_queries),
+    SPEC_ROW(ProfileSpec, "bisect_iters", kInt, bisect_iters),
+    SPEC_ROW(ProfileSpec, "seed", kU64, seed),
+};
+const Row kObsRows[] = {
+    SPEC_ROW(obs::ObsSpec, "trace_file", kString, trace_file),
+    SPEC_ROW(obs::ObsSpec, "metrics_file", kString, metrics_file),
+    SPEC_ROW(obs::ObsSpec, "sample_rate", kUnit, sample_rate),
+};
+const Table kFleet = table<FleetEntry>(kFleetRows);
+const Table kService = table<Svc>(kServiceRows, /*multiline=*/true);
+const Table kFeedback = table<qos::FeedbackConfig>(kFeedbackRows);
+const Table kAdmission = table<qos::AdmissionConfig>(kAdmissionRows);
+const Table kCap = table<cluster::PowerCapPoint>(kCapRows);
+const Table kFaults = table<Faults>(kFaultRows);
+const Table kTrace = table<Trace>(kTraceRows);
+const Table kProfile = table<ProfileSpec>(kProfileRows);
+const Table kObs = table<obs::ObsSpec>(kObsRows);
+
+// A negative overprovision_rate means "estimate from the curve", so it
+// stays a plain number.
+const Row kSpecRows[] = {
+    SPEC_ROW(Spec, "name", kString, name, kAlways),
+    SPEC_ROW(Spec, "description", kString, description),
+    SPEC_ROW(Spec, "fleet", kArray, fleet, 0, &kFleet),
+    SPEC_ROW(Spec, "services", kArray, services, 0, &kService),
+    SPEC_ROW(Spec, "provisioner", kProvisioner, provisioner),
+    SPEC_ROW(Spec, "nh_seed", kU64, nh_seed),
+    SPEC_ROW(Spec, "lint", kBool, lint),
+    SPEC_ROW(Spec, "router", kRouter, serve.router),
+    SPEC_ROW(Spec, "router_seed", kU64, serve.router_seed),
+    SPEC_ROW(Spec, "feedback", kObject, serve.feedback, 0, &kFeedback),
+    SPEC_ROW(Spec, "admission", kObject, serve.admission, 0, &kAdmission),
+    SPEC_ROW(Spec, "horizon_hours", kPositive, serve.horizon_hours),
+    SPEC_ROW(Spec, "interval_hours", kPositive, serve.interval_hours),
+    SPEC_ROW(Spec, "sla_ms", kNonNeg, serve.sla_ms),
+    SPEC_ROW(Spec, "overprovision_rate", kNumber, serve.overprovision_rate),
+    SPEC_ROW(Spec, "power_cap_w", kNonNeg, serve.power_cap_w),
+    SPEC_ROW(Spec, "power_cap_schedule", kArray, serve.power_cap_schedule,
+             0, &kCap),
+    SPEC_ROW(Spec, "faults", kObject, serve.faults, 0, &kFaults),
+    SPEC_ROW(Spec, "trace", kObject, serve.trace, 0, &kTrace),
+    SPEC_ROW(Spec, "profile", kObject, profile, 0, &kProfile),
+    SPEC_ROW(Spec, "observability", kObject, observability, 0, &kObs),
+};
+const Table kSpec = table<Spec>(kSpecRows, /*multiline=*/true);
+
+#undef SPEC_ROW
+
+// ---- binder --------------------------------------------------------------
+
+/** Where a value sits; formatted only when an error names it. */
+struct Ctx
+{
+    const Ctx* parent;  ///< null at the top level
+    const char* key;
+    long index;  ///< array position, or -1
+};
+
+/** "scenario", "services[2]", "faults.events[0]", ... */
+std::string
+ctxName(const Ctx& c)
+{
+    if (c.parent == nullptr)
+        return "scenario";
+    std::string s = c.parent->parent ? ctxName(*c.parent) + "." : "";
+    return s + c.key + (c.index >= 0 ? fmt("[%ld]", c.index) : "");
+}
+
+const Field*
+find(const Value& v, const char* key)
+{
+    for (const Field& f : v.fields)
+        if (f.key == key)
+            return &f;
+    return nullptr;
+}
+
+/**
+ * Binds a value tree onto a spec by walking the tables: required keys
+ * first, then every row in table order, then leftover keys are
+ * rejected in source order. Absent keys keep the member's default.
+ */
+class Binder
 {
   public:
-    void
-    add(const char* key, std::string value)
-    {
-        parts_.push_back(fmt("\"%s\": ", key) + std::move(value));
-    }
+    explicit Binder(std::string* err) : err_(err) {}
 
-    void
-    num(const char* key, double v, double def)
+    bool
+    object(const Table& t, const Value& v, void* obj, const Ctx& ctx)
     {
-        if (v != def)
-            add(key, fmtNumber(v));
-    }
-
-    void
-    str(const char* key, const std::string& v, const std::string& def)
-    {
-        if (v != def)
-            add(key, quote(v));
-    }
-
-    void
-    b(const char* key, bool v, bool def)
-    {
-        if (v != def)
-            add(key, v ? "true" : "false");
-    }
-
-    bool empty() const { return parts_.empty(); }
-
-    /** {"a": 1, "b": 2} */
-    std::string
-    inlineObj() const
-    {
-        std::string out = "{";
-        for (size_t i = 0; i < parts_.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += parts_[i];
+        for (const Row& r : t)
+            if ((r.flags & kRequired) != 0 && find(v, r.key) == nullptr)
+                return fail(fmt("line %d: missing key '%s' in %s", v.line,
+                                r.key, ctxName(ctx).c_str()));
+        size_t bound = 0;
+        for (const Row& r : t) {
+            const Field* f = find(v, r.key);
+            if (f != nullptr && !value(r, f->value, r.at(obj), ctx))
+                return false;
+            bound += f != nullptr;
         }
-        return out + "}";
-    }
-
-    /** Multi-line object at `indent` spaces (keys one level deeper). */
-    std::string
-    multiline(int indent) const
-    {
-        std::string pad(static_cast<size_t>(indent), ' ');
-        std::string out = "{\n";
-        for (size_t i = 0; i < parts_.size(); ++i) {
-            out += pad + "  " + parts_[i];
-            out += i + 1 < parts_.size() ? ",\n" : "\n";
-        }
-        return out + pad + "}";
+        if (bound == v.fields.size())  // keys are unique: none left
+            return true;
+        for (const Field& f : v.fields)
+            if (std::none_of(t.begin(), t.end(), [&](const Row& r) {
+                    return f.key == r.key;
+                }))
+                return fail(fmt("line %d: unknown key '%s' in %s", f.line,
+                                f.key.c_str(), ctxName(ctx).c_str()));
+        return true;
     }
 
   private:
-    std::vector<std::string> parts_;
+    bool
+    fail(std::string msg)
+    {
+        *err_ = std::move(msg);
+        return false;
+    }
+
+    bool
+    value(const Row& r, const Value& v, void* m, const Ctx& ctx)
+    {
+        const Kind& k = *r.kind;
+        if (v.kind != k.accepts || (k.integral && v.num != std::floor(v.num)))
+            return fail(fmt("line %d: key '%s' in %s expects %s (got %s)",
+                            v.line, r.key, ctxName(ctx).c_str(), k.what,
+                            kindName(v.kind)));
+        if (!(v.num >= k.lo && v.num <= k.hi))  // NaN fails too
+            return fail(
+                k.integral
+                    ? fmt("line %d: key '%s' in %s is out of range", v.line,
+                          r.key, ctxName(ctx).c_str())
+                    : fmt("line %d: key '%s' in %s must be %s (got %g)",
+                          v.line, r.key, ctxName(ctx).c_str(), k.name,
+                          v.num));
+        if (v.kind == Value::Kind::Object)
+            return object(*r.table, v, m, Ctx{&ctx, r.key, -1});
+        if (v.kind != Value::Kind::Array)
+            return k.store(m, v) ||
+                   fail(fmt("line %d: unknown %s '%s' in %s", v.line,
+                            k.name, v.str.c_str(), ctxName(ctx).c_str()));
+        for (size_t i = 0; i < v.items.size(); ++i) {
+            Ctx item{&ctx, r.key, static_cast<long>(i)};
+            if (v.items[i].kind != Value::Kind::Object)
+                return fail(fmt("line %d: %s expects an object",
+                                v.items[i].line, ctxName(item).c_str()));
+            if (!object(*r.table, v.items[i], r.table->item(m, i), item))
+                return false;
+        }
+        return true;
+    }
+
+    std::string* err_;
 };
 
+// ---- emitter -------------------------------------------------------------
+
+std::string emitObject(const Table& t, const void* obj, const void* def,
+                       int indent);
+
+/**
+ * Member `m` (default `d`) as value text, its key at `indent`; ""
+ * omits it: a value equal to its default (unless kAlways), an empty
+ * array or all-default block, and a non-finite number, which has no
+ * literal (an uncapped power_cap_w is spelled by leaving the key out).
+ */
 std::string
-serviceText(const ServiceScenario& s)
+emitValue(const Row& r, const void* m, const void* d, int indent)
 {
-    static const ServiceScenario kDef{};
-    const cluster::ServiceSpec& d = kDef.spec;
-    Fragments f;
-    f.str("name", s.name, kDef.name);
-    f.add("model", quote(model::modelName(s.spec.model)));
-    f.num("peak_qps_frac", s.peak_qps_frac, kDef.peak_qps_frac);
-    f.num("peak_qps", s.spec.load.peak_qps, d.load.peak_qps);
-    f.num("trough_frac", s.spec.load.trough_frac, d.load.trough_frac);
-    f.num("peak_hour", s.spec.load.peak_hour, d.load.peak_hour);
-    f.num("noise_frac", s.spec.load.noise_frac, d.load.noise_frac);
-    f.num("load_seed", static_cast<double>(s.spec.load.seed),
-          static_cast<double>(d.load.seed));
-    f.num("surge_hour", s.spec.load.surge_hour, d.load.surge_hour);
-    f.num("surge_hours", s.spec.load.surge_hours, d.load.surge_hours);
-    f.num("surge_factor", s.spec.load.surge_factor,
-          d.load.surge_factor);
-    f.num("sla_ms", s.spec.sla_ms, d.sla_ms);
-    f.num("priority", s.spec.qos.priority, d.qos.priority);
-    if (s.spec.qos.tier != d.qos.tier)
-        f.add("tier", quote(qos::tierName(s.spec.qos.tier)));
-    f.num("qos_sla_ms", s.spec.qos.sla_ms, d.qos.sla_ms);
-    f.num("size_median", s.spec.sizes.median, d.sizes.median);
-    f.num("size_sigma", s.spec.sizes.sigma, d.sizes.sigma);
-    f.num("size_min", s.spec.sizes.min_size, d.sizes.min_size);
-    f.num("size_max", s.spec.sizes.max_size, d.sizes.max_size);
-    f.num("pooling_sigma", s.spec.pooling.sigma, d.pooling.sigma);
-    return f.multiline(4);
+    if (r.kind == &kObject)
+        return emitObject(*r.table, m, d, indent);
+    if (r.kind != &kArray) {  // equal text = equal value
+        std::string text = r.kind->text(m);
+        bool omit = (r.flags & kAlways) == 0 && text == r.kind->text(d);
+        return omit ? "" : text;
+    }
+    const Table& t = *r.table;
+    std::string pad(static_cast<size_t>(indent), ' '), out;
+    for (size_t i = 0, n = t.count(m); i < n; ++i)
+        out += (i == 0 ? "[\n" : ",\n") + pad + "  " +
+               emitObject(t, t.item(const_cast<void*>(m), i), t.def,
+                          indent + 2);
+    return out.empty() ? out : out + "\n" + pad + "]";
+}
+
+/**
+ * An object's emitted keys, closing brace at `indent`; "" when every
+ * key is omitted. Multiline tables, and objects holding a non-empty
+ * array, put one key per line; the rest are written inline.
+ */
+std::string
+emitObject(const Table& t, const void* obj, const void* def, int indent)
+{
+    // at() only computes an address.
+    auto member = [](const Row& r, const void* o) -> const void* {
+        return r.at(const_cast<void*>(o));
+    };
+    bool multi = t.multiline;
+    for (const Row& r : t)
+        multi = multi ||
+                (r.kind == &kArray && r.table->count(member(r, obj)) > 0);
+    std::string pad(static_cast<size_t>(indent), ' '), out;
+    for (const Row& r : t) {
+        std::string v =
+            emitValue(r, member(r, obj), member(r, def), indent + 2);
+        if (v.empty())
+            continue;
+        if (!out.empty())
+            out += multi ? ",\n" : ", ";
+        out += (multi ? pad + "  \"" : "\"") + r.key + "\": " + v;
+    }
+    if (out.empty())
+        return out;
+    return multi ? "{\n" + out + "\n" + pad + "}" : "{" + out + "}";
 }
 
 }  // namespace
@@ -965,19 +820,15 @@ parseSpec(const std::string& text, std::string* error)
 {
     Value root;
     Parser p(text);
-    if (!p.parse(root)) {
-        if (error != nullptr)
-            *error = p.error;
-        return std::nullopt;
-    }
     ScenarioSpec spec;
     std::string err;
-    if (!bindSpec(root, &spec, &err)) {
-        if (error != nullptr)
-            *error = err;
-        return std::nullopt;
-    }
-    return spec;
+    if (!p.parse(root))
+        err = p.error;
+    else if (Binder(&err).object(kSpec, root, &spec, {nullptr, "", -1}))
+        return spec;
+    if (error != nullptr)
+        *error = err;
+    return std::nullopt;
 }
 
 std::optional<ScenarioSpec>
@@ -1001,182 +852,7 @@ loadSpecFile(const std::string& path, std::string* error)
 std::string
 toText(const ScenarioSpec& spec)
 {
-    static const ScenarioSpec kDef{};
-    const cluster::TraceServeOptions& dv = kDef.serve;
-    std::vector<std::string> lines;
-    auto put = [&](const char* key, const std::string& value) {
-        lines.push_back(fmt("  \"%s\": ", key) + value);
-    };
-
-    put("name", quote(spec.name));
-    if (!spec.description.empty())
-        put("description", quote(spec.description));
-
-    if (!spec.fleet.empty()) {
-        std::string out = "[\n";
-        for (size_t i = 0; i < spec.fleet.size(); ++i) {
-            Fragments f;
-            f.add("type",
-                  quote(hw::serverTypeName(spec.fleet[i].type)));
-            f.num("slots", spec.fleet[i].shard_slots,
-                  FleetEntry{}.shard_slots);
-            out += "    " + f.inlineObj();
-            out += i + 1 < spec.fleet.size() ? ",\n" : "\n";
-        }
-        put("fleet", out + "  ]");
-    }
-
-    if (!spec.services.empty()) {
-        std::string out = "[\n";
-        for (size_t i = 0; i < spec.services.size(); ++i) {
-            out += "    " + serviceText(spec.services[i]);
-            out += i + 1 < spec.services.size() ? ",\n" : "\n";
-        }
-        put("services", out + "  ]");
-    }
-
-    if (spec.provisioner != kDef.provisioner)
-        put("provisioner",
-            quote(provisionerKindName(spec.provisioner)));
-    if (spec.nh_seed != kDef.nh_seed)
-        put("nh_seed", fmtNumber(static_cast<double>(spec.nh_seed)));
-    if (spec.lint != kDef.lint)
-        put("lint", spec.lint ? "true" : "false");
-    if (spec.serve.router != dv.router)
-        put("router", quote(sim::routerPolicyName(spec.serve.router)));
-    if (spec.serve.router_seed != dv.router_seed)
-        put("router_seed",
-            fmtNumber(static_cast<double>(spec.serve.router_seed)));
-
-    {
-        Fragments f;
-        f.num("gain", spec.serve.feedback.gain, dv.feedback.gain);
-        f.num("floor_frac", spec.serve.feedback.floor_frac,
-              dv.feedback.floor_frac);
-        if (!f.empty())
-            put("feedback", f.inlineObj());
-    }
-    {
-        const qos::AdmissionConfig& a = spec.serve.admission;
-        const qos::AdmissionConfig& d = dv.admission;
-        Fragments f;
-        if (a.policy != d.policy)
-            f.add("policy", quote(qos::admissionPolicyName(a.policy)));
-        f.num("queue_cap", static_cast<double>(a.queue_cap),
-              static_cast<double>(d.queue_cap));
-        f.num("deadline_slack", a.deadline_slack, d.deadline_slack);
-        f.b("cross_shard_retry", a.cross_shard_retry,
-            d.cross_shard_retry);
-        if (!f.empty())
-            put("admission", f.inlineObj());
-    }
-
-    if (spec.serve.horizon_hours != dv.horizon_hours)
-        put("horizon_hours", fmtNumber(spec.serve.horizon_hours));
-    if (spec.serve.interval_hours != dv.interval_hours)
-        put("interval_hours", fmtNumber(spec.serve.interval_hours));
-    if (spec.serve.sla_ms != dv.sla_ms)
-        put("sla_ms", fmtNumber(spec.serve.sla_ms));
-    if (spec.serve.overprovision_rate != dv.overprovision_rate)
-        put("overprovision_rate",
-            fmtNumber(spec.serve.overprovision_rate));
-    if (std::isfinite(spec.serve.power_cap_w))
-        put("power_cap_w", fmtNumber(spec.serve.power_cap_w));
-
-    if (!spec.serve.power_cap_schedule.empty()) {
-        std::string out = "[\n";
-        const auto& sched = spec.serve.power_cap_schedule;
-        for (size_t i = 0; i < sched.size(); ++i) {
-            Fragments f;
-            f.add("from_hour", fmtNumber(sched[i].from_hour));
-            f.add("cap_w", fmtNumber(sched[i].cap_w));
-            out += "    " + f.inlineObj();
-            out += i + 1 < sched.size() ? ",\n" : "\n";
-        }
-        put("power_cap_schedule", out + "  ]");
-    }
-
-    {
-        const fault::FaultSpec& fs = spec.serve.faults;
-        const fault::FaultSpec& d = dv.faults;
-        Fragments f;
-        f.num("seed", static_cast<double>(fs.seed),
-              static_cast<double>(d.seed));
-        f.num("crash_mtbf_hours", fs.crash_mtbf_hours,
-              d.crash_mtbf_hours);
-        f.num("crash_mttr_hours", fs.crash_mttr_hours,
-              d.crash_mttr_hours);
-        f.num("degrade_mtbf_hours", fs.degrade_mtbf_hours,
-              d.degrade_mtbf_hours);
-        f.num("degrade_mttr_hours", fs.degrade_mttr_hours,
-              d.degrade_mttr_hours);
-        f.num("degrade_slowdown", fs.degrade_slowdown,
-              d.degrade_slowdown);
-        if (!fs.events.empty()) {
-            std::string ev = "[\n";
-            for (size_t i = 0; i < fs.events.size(); ++i) {
-                const fault::FaultEvent& e = fs.events[i];
-                Fragments g;
-                g.add("at_hour", fmtNumber(e.t_hours));
-                g.num("fleet", e.fleet_index, 0);
-                g.num("slot", e.slot, 0);
-                // Always emitted: the state IS the event, even when
-                // it is the (default) recovery back to healthy.
-                g.add("state", quote(fault::healthStateName(e.state)));
-                g.num("slowdown", e.slowdown, 1.0);
-                ev += "      " + g.inlineObj();
-                ev += i + 1 < fs.events.size() ? ",\n" : "\n";
-            }
-            f.add("events", ev + "    ]");
-            put("faults", f.multiline(2));
-        } else if (!f.empty()) {
-            put("faults", f.inlineObj());
-        }
-    }
-
-    {
-        const workload::TraceOptions& t = spec.serve.trace;
-        const workload::TraceOptions& d = dv.trace;
-        Fragments f;
-        f.num("bucket_seconds", t.bucket_seconds, d.bucket_seconds);
-        f.num("time_compression", t.time_compression,
-              d.time_compression);
-        f.num("seed", static_cast<double>(t.seed),
-              static_cast<double>(d.seed));
-        if (!f.empty())
-            put("trace", f.inlineObj());
-    }
-    {
-        const ProfileSpec& p = spec.profile;
-        const ProfileSpec& d = kDef.profile;
-        Fragments f;
-        f.str("table_cache", p.table_cache, d.table_cache);
-        f.str("eval_memo", p.eval_memo, d.eval_memo);
-        f.num("num_queries", p.num_queries, d.num_queries);
-        f.num("warmup_queries", p.warmup_queries, d.warmup_queries);
-        f.num("bisect_iters", p.bisect_iters, d.bisect_iters);
-        f.num("seed", static_cast<double>(p.seed),
-              static_cast<double>(d.seed));
-        if (!f.empty())
-            put("profile", f.inlineObj());
-    }
-    {
-        const obs::ObsSpec& o = spec.observability;
-        const obs::ObsSpec& d = kDef.observability;
-        Fragments f;
-        f.str("trace_file", o.trace_file, d.trace_file);
-        f.str("metrics_file", o.metrics_file, d.metrics_file);
-        f.num("sample_rate", o.sample_rate, d.sample_rate);
-        if (!f.empty())
-            put("observability", f.inlineObj());
-    }
-
-    std::string out = "{\n";
-    for (size_t i = 0; i < lines.size(); ++i) {
-        out += lines[i];
-        out += i + 1 < lines.size() ? ",\n" : "\n";
-    }
-    return out + "}\n";
+    return emitObject(kSpec, &spec, kSpec.def, 0) + "\n";
 }
 
 bool

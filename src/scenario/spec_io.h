@@ -7,14 +7,17 @@
  *    spec, with doubles printed at the shortest precision that
  *    round-trips through strtod;
  *  - canonical output: fields appear in schema order and fields equal
- *    to their default are omitted (which is also how the format
- *    serializes infinities — an uncapped power_cap_w never appears);
+ *    to their default are omitted; non-finite numbers have no literal
+ *    and are never written either (an uncapped power_cap_w never
+ *    appears);
  *  - line/key-precise errors: duplicate keys are rejected at parse
  *    time, unknown keys at bind time, both reporting the offending
  *    key and its 1-based line ("scenario.scn: line 12: unknown key
  *    'peek_qps' in services[0]").
  *
- * The grammar is documented in src/scenario/README.md.
+ * Both directions are driven by one static field table per spec
+ * object (spec_io.cc). The grammar is documented in
+ * src/scenario/README.md.
  */
 #pragma once
 

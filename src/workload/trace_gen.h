@@ -12,7 +12,7 @@
  * cycle. Instantaneous QPS — and therefore all queueing/latency
  * dynamics — is unchanged; only the span of simulated time (and the
  * query count) shrinks by c. Downstream interval lengths must be
- * divided by the same factor (ClusterSim and cluster::serveTrace do
+ * divided by the same factor (ClusterSim and cluster::serveTraces do
  * this internally).
  */
 #pragma once

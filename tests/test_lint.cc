@@ -4,9 +4,10 @@
  * diagnostic code fires with its exact code/path/message on a
  * C++-seeded defective spec, every seeded-defect file in
  * tests/lint_specs/ yields exactly the one diagnostic its filename
- * names, every shipped .scn in scenarios/ lints to zero diagnostics, and
- * the opt-in `lint` gate in scenario::run() rejects an erroneous spec
- * before profiling.
+ * names, every shipped .scn in scenarios/ lints to zero diagnostics,
+ * every spec validateSpec() rejects lints with an error, and the opt-in
+ * `lint` gate in scenario::run() rejects an erroneous spec before
+ * profiling.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/serving.h"
@@ -346,6 +348,24 @@ TEST(Lint, W211DefaultObservabilityClean)
     EXPECT_EQ(findCode(lint(s), "W207"), nullptr);
 }
 
+TEST(Lint, E114SampleRateOutOfRange)
+{
+    ScenarioSpec s = cleanSpec();
+    s.observability.trace_file = "trace.jsonl";
+    s.observability.sample_rate = 1.5;
+    expectDiagnostic(s, "E114", Severity::Error,
+                     "observability.sample_rate",
+                     "sample_rate must be in [0, 1] (got 1.5)");
+    // An out-of-range rate is not also reported as a dead knob.
+    s.observability.trace_file.clear();
+    s.observability.sample_rate = -0.5;
+    std::vector<Diagnostic> ds = lint(s);
+    ASSERT_EQ(ds.size(), 1u);
+    EXPECT_EQ(ds[0].code, "E114");
+    s.observability.sample_rate = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NE(findCode(lint(s), "E114"), nullptr);
+}
+
 // ---- faults --------------------------------------------------------------
 
 TEST(Lint, E107NegativeFaultKnob)
@@ -580,6 +600,75 @@ TEST(Lint, ShippedScenariosLintClean)
                 << ent.path() << ": " << formatDiagnostic(d);
     }
     EXPECT_GE(n, 6u) << "shipped scenario library shrank";
+}
+
+/**
+ * Lint's errors are a superset of validateSpec(): every spec the
+ * validateSpec() tests reject (test_scenario, test_fault, test_obs)
+ * lints with at least one E1xx, so a lint-clean spec never fatals in
+ * scenario::run().
+ */
+TEST(Lint, ErrorsCoverEveryValidateSpecRejection)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto event = [](int fleet, int slot) {
+        fault::FaultEvent e;
+        e.t_hours = 1.0;
+        e.fleet_index = fleet;
+        e.slot = slot;
+        e.state = fault::HealthState::Failed;
+        return e;
+    };
+    std::vector<std::pair<std::string, ScenarioSpec>> cases;
+    auto add = [&](const std::string& what, auto edit) {
+        ScenarioSpec s = cleanSpec();
+        edit(s);
+        cases.emplace_back(what, s);
+    };
+    add("empty fleet", [](ScenarioSpec& s) { s.fleet.clear(); });
+    add("no services", [](ScenarioSpec& s) { s.services.clear(); });
+    add("negative slots",
+        [](ScenarioSpec& s) { s.fleet[0].shard_slots = -1; });
+    add("zero interval",
+        [](ScenarioSpec& s) { s.serve.interval_hours = 0.0; });
+    add("zero horizon",
+        [](ScenarioSpec& s) { s.serve.horizon_hours = 0.0; });
+    add("unsorted schedule", [](ScenarioSpec& s) {
+        s.serve.power_cap_schedule = {{2.0, 500.0}, {1.0, 600.0}};
+    });
+    add("NaN schedule cap", [&](ScenarioSpec& s) {
+        s.serve.power_cap_schedule = {{0.0, nan}};
+    });
+    add("NaN fault knob", [&](ScenarioSpec& s) {
+        s.serve.faults.crash_mtbf_hours = nan;
+    });
+    add("degrade_slowdown below 1",
+        [](ScenarioSpec& s) { s.serve.faults.degrade_slowdown = 0.5; });
+    add("negative event hour", [&](ScenarioSpec& s) {
+        s.serve.faults.events = {event(0, 0)};
+        s.serve.faults.events[0].t_hours = -1.0;
+    });
+    add("fault fleet out of range", [&](ScenarioSpec& s) {
+        s.serve.faults.events = {event(5, 0)};
+    });
+    add("fault slot out of range", [&](ScenarioSpec& s) {
+        s.serve.faults.events = {event(0, 3)};
+    });
+    add("degraded event slowdown below 1", [&](ScenarioSpec& s) {
+        s.serve.faults.events = {event(0, 0)};
+        s.serve.faults.events[0].state = fault::HealthState::Degraded;
+        s.serve.faults.events[0].slowdown = 0.5;
+    });
+    add("sample_rate 1.5", [](ScenarioSpec& s) {
+        s.observability.trace_file = "trace.jsonl";
+        s.observability.sample_rate = 1.5;
+    });
+
+    ASSERT_TRUE(validateSpec(cleanSpec()));
+    for (const auto& [what, spec] : cases) {
+        EXPECT_FALSE(validateSpec(spec)) << what;
+        EXPECT_TRUE(hasErrors(lint(spec))) << what << " lints clean";
+    }
 }
 
 // ---- the run() gate ------------------------------------------------------

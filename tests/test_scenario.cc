@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests of the declarative scenario API (src/scenario/): exact text
- * round-trip on every shipped .scn in scenarios/, duplicate/unknown-key
+ * round-trip on every shipped .scn in scenarios/, field-by-field
+ * round-trip of every spec key, seeded byte mutants of the shipped
+ * files (fixed point or a line-numbered error), duplicate/unknown-key
  * rejection with 1-based line numbers, default-spec == legacy-defaults
  * equivalence, the time-varying power-cap schedule, and the golden
  * pin that scenario::run() on a spec mirroring bench_multiservice's
@@ -10,9 +12,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +50,99 @@ readFile(const std::filesystem::path& p)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** Field-by-field equality, written out apart from the spec tables. */
+void
+expectSameSpec(const ScenarioSpec& a, const ScenarioSpec& b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.description, b.description);
+    ASSERT_EQ(a.fleet.size(), b.fleet.size());
+    for (size_t i = 0; i < a.fleet.size(); ++i) {
+        EXPECT_EQ(a.fleet[i].type, b.fleet[i].type) << i;
+        EXPECT_EQ(a.fleet[i].shard_slots, b.fleet[i].shard_slots) << i;
+    }
+    ASSERT_EQ(a.services.size(), b.services.size());
+    for (size_t i = 0; i < a.services.size(); ++i) {
+        const ServiceScenario& x = a.services[i];
+        const ServiceScenario& y = b.services[i];
+        EXPECT_EQ(x.name, y.name);
+        EXPECT_EQ(x.peak_qps_frac, y.peak_qps_frac);
+        EXPECT_EQ(x.spec.model, y.spec.model);
+        EXPECT_EQ(x.spec.load.peak_qps, y.spec.load.peak_qps);
+        EXPECT_EQ(x.spec.load.trough_frac, y.spec.load.trough_frac);
+        EXPECT_EQ(x.spec.load.peak_hour, y.spec.load.peak_hour);
+        EXPECT_EQ(x.spec.load.noise_frac, y.spec.load.noise_frac);
+        EXPECT_EQ(x.spec.load.seed, y.spec.load.seed);
+        EXPECT_EQ(x.spec.load.surge_hour, y.spec.load.surge_hour);
+        EXPECT_EQ(x.spec.load.surge_hours, y.spec.load.surge_hours);
+        EXPECT_EQ(x.spec.load.surge_factor, y.spec.load.surge_factor);
+        EXPECT_EQ(x.spec.sla_ms, y.spec.sla_ms);
+        EXPECT_EQ(x.spec.qos.priority, y.spec.qos.priority);
+        EXPECT_EQ(x.spec.qos.tier, y.spec.qos.tier);
+        EXPECT_EQ(x.spec.qos.sla_ms, y.spec.qos.sla_ms);
+        EXPECT_EQ(x.spec.sizes.median, y.spec.sizes.median);
+        EXPECT_EQ(x.spec.sizes.sigma, y.spec.sizes.sigma);
+        EXPECT_EQ(x.spec.sizes.min_size, y.spec.sizes.min_size);
+        EXPECT_EQ(x.spec.sizes.max_size, y.spec.sizes.max_size);
+        EXPECT_EQ(x.spec.pooling.sigma, y.spec.pooling.sigma);
+    }
+    EXPECT_EQ(a.provisioner, b.provisioner);
+    EXPECT_EQ(a.nh_seed, b.nh_seed);
+    EXPECT_EQ(a.lint, b.lint);
+
+    const cluster::TraceServeOptions& x = a.serve;
+    const cluster::TraceServeOptions& y = b.serve;
+    EXPECT_EQ(x.router, y.router);
+    EXPECT_EQ(x.router_seed, y.router_seed);
+    EXPECT_EQ(x.feedback.gain, y.feedback.gain);
+    EXPECT_EQ(x.feedback.floor_frac, y.feedback.floor_frac);
+    EXPECT_EQ(x.admission.policy, y.admission.policy);
+    EXPECT_EQ(x.admission.queue_cap, y.admission.queue_cap);
+    EXPECT_EQ(x.admission.deadline_slack, y.admission.deadline_slack);
+    EXPECT_EQ(x.admission.cross_shard_retry, y.admission.cross_shard_retry);
+    EXPECT_EQ(x.horizon_hours, y.horizon_hours);
+    EXPECT_EQ(x.interval_hours, y.interval_hours);
+    EXPECT_EQ(x.sla_ms, y.sla_ms);
+    EXPECT_EQ(x.overprovision_rate, y.overprovision_rate);
+    EXPECT_EQ(x.power_cap_w, y.power_cap_w);
+    ASSERT_EQ(x.power_cap_schedule.size(), y.power_cap_schedule.size());
+    for (size_t i = 0; i < x.power_cap_schedule.size(); ++i) {
+        EXPECT_EQ(x.power_cap_schedule[i].from_hour,
+                  y.power_cap_schedule[i].from_hour);
+        EXPECT_EQ(x.power_cap_schedule[i].cap_w,
+                  y.power_cap_schedule[i].cap_w);
+    }
+    EXPECT_EQ(x.faults.seed, y.faults.seed);
+    EXPECT_EQ(x.faults.crash_mtbf_hours, y.faults.crash_mtbf_hours);
+    EXPECT_EQ(x.faults.crash_mttr_hours, y.faults.crash_mttr_hours);
+    EXPECT_EQ(x.faults.degrade_mtbf_hours, y.faults.degrade_mtbf_hours);
+    EXPECT_EQ(x.faults.degrade_mttr_hours, y.faults.degrade_mttr_hours);
+    EXPECT_EQ(x.faults.degrade_slowdown, y.faults.degrade_slowdown);
+    ASSERT_EQ(x.faults.events.size(), y.faults.events.size());
+    for (size_t i = 0; i < x.faults.events.size(); ++i) {
+        const fault::FaultEvent& e = x.faults.events[i];
+        const fault::FaultEvent& f = y.faults.events[i];
+        EXPECT_EQ(e.t_hours, f.t_hours);
+        EXPECT_EQ(e.fleet_index, f.fleet_index);
+        EXPECT_EQ(e.slot, f.slot);
+        EXPECT_EQ(e.state, f.state);
+        EXPECT_EQ(e.slowdown, f.slowdown);
+    }
+    EXPECT_EQ(x.trace.bucket_seconds, y.trace.bucket_seconds);
+    EXPECT_EQ(x.trace.time_compression, y.trace.time_compression);
+    EXPECT_EQ(x.trace.seed, y.trace.seed);
+
+    EXPECT_EQ(a.profile.table_cache, b.profile.table_cache);
+    EXPECT_EQ(a.profile.eval_memo, b.profile.eval_memo);
+    EXPECT_EQ(a.profile.num_queries, b.profile.num_queries);
+    EXPECT_EQ(a.profile.warmup_queries, b.profile.warmup_queries);
+    EXPECT_EQ(a.profile.bisect_iters, b.profile.bisect_iters);
+    EXPECT_EQ(a.profile.seed, b.profile.seed);
+    EXPECT_EQ(a.observability.trace_file, b.observability.trace_file);
+    EXPECT_EQ(a.observability.metrics_file, b.observability.metrics_file);
+    EXPECT_EQ(a.observability.sample_rate, b.observability.sample_rate);
 }
 
 // ---- shipped-library round trip ------------------------------------------
@@ -100,10 +197,11 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     svc.spec.sizes.sigma = 0.9;
     svc.spec.sizes.min_size = 5;
     svc.spec.sizes.max_size = 500;
-    svc.spec.pooling.sigma = 0.5;
+    svc.spec.pooling.sigma = 0.45;
     s.services.push_back(svc);
     s.provisioner = ProvisionerKind::PriorityAware;
     s.nh_seed = 23;
+    s.lint = true;
     s.serve.router = sim::RouterPolicy::PowerOfTwo;
     s.serve.router_seed = 9;
     s.serve.feedback.gain = 0.2;
@@ -138,12 +236,152 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     s.profile.warmup_queries = 22;
     s.profile.bisect_iters = 3;
     s.profile.seed = 77;
+    s.observability.trace_file = "trace.jsonl";
+    s.observability.metrics_file = "metrics.csv";
+    s.observability.sample_rate = 0.125;
 
     std::string text = toText(s);
     std::string err;
     auto parsed = parseSpec(text, &err);
     ASSERT_TRUE(parsed.has_value()) << err;
     EXPECT_EQ(toText(*parsed), text);
+    expectSameSpec(*parsed, s);
+
+    // A round trip alone cannot see two keys whose members are swapped
+    // in both directions. Every value in `s` is distinct within its
+    // object, so pinning the text each key carries catches any key
+    // bound to the wrong member.
+    const std::string golden =
+        "{\n"
+        "  \"name\": \"all_knobs\",\n"
+        "  \"description\": \"escapes: \\\"quote\\\" \\\\ tab\\t newline\\n "
+        "done\",\n"
+        "  \"fleet\": [\n"
+        "    {\"type\": \"T2\", \"slots\": 2},\n"
+        "    {\"type\": \"T10\", \"slots\": 3}\n"
+        "  ],\n"
+        "  \"services\": [\n"
+        "    {\n"
+        "      \"name\": \"ranker\",\n"
+        "      \"model\": \"DIEN\",\n"
+        "      \"peak_qps_frac\": 0.25,\n"
+        "      \"peak_qps\": 123.5,\n"
+        "      \"trough_frac\": 0.5,\n"
+        "      \"peak_hour\": 7.25,\n"
+        "      \"noise_frac\": 0.01,\n"
+        "      \"load_seed\": 99,\n"
+        "      \"surge_hour\": 6,\n"
+        "      \"surge_hours\": 1.5,\n"
+        "      \"surge_factor\": 2,\n"
+        "      \"sla_ms\": 31,\n"
+        "      \"priority\": 3,\n"
+        "      \"tier\": \"throughput\",\n"
+        "      \"qos_sla_ms\": 40,\n"
+        "      \"size_median\": 70,\n"
+        "      \"size_sigma\": 0.9,\n"
+        "      \"size_min\": 5,\n"
+        "      \"size_max\": 500,\n"
+        "      \"pooling_sigma\": 0.45\n"
+        "    }\n"
+        "  ],\n"
+        "  \"provisioner\": \"priority-aware\",\n"
+        "  \"nh_seed\": 23,\n"
+        "  \"lint\": true,\n"
+        "  \"router\": \"p2c\",\n"
+        "  \"router_seed\": 9,\n"
+        "  \"feedback\": {\"gain\": 0.2, \"floor_frac\": 0.1},\n"
+        "  \"admission\": {\"policy\": \"queue_cap\", \"queue_cap\": 17, "
+        "\"deadline_slack\": 1.25, \"cross_shard_retry\": false},\n"
+        "  \"horizon_hours\": 6,\n"
+        "  \"interval_hours\": 0.25,\n"
+        "  \"sla_ms\": 33,\n"
+        "  \"overprovision_rate\": 0.07,\n"
+        "  \"power_cap_w\": 512.125,\n"
+        "  \"power_cap_schedule\": [\n"
+        "    {\"from_hour\": 3, \"cap_w\": 400},\n"
+        "    {\"from_hour\": 5, \"cap_w\": 1000000000}\n"
+        "  ],\n"
+        "  \"faults\": {\n"
+        "    \"seed\": 11,\n"
+        "    \"crash_mtbf_hours\": 8,\n"
+        "    \"crash_mttr_hours\": 0.75,\n"
+        "    \"degrade_mtbf_hours\": 6,\n"
+        "    \"degrade_mttr_hours\": 2,\n"
+        "    \"degrade_slowdown\": 3.5,\n"
+        "    \"events\": [\n"
+        "      {\"at_hour\": 1.5, \"fleet\": 1, \"slot\": 2, \"state\": "
+        "\"failed\"},\n"
+        "      {\"at_hour\": 2.25, \"fleet\": 1, \"slot\": 2, \"state\": "
+        "\"healthy\"},\n"
+        "      {\"at_hour\": 4, \"slot\": 1, \"state\": \"degraded\", "
+        "\"slowdown\": 2.5}\n"
+        "    ]\n"
+        "  },\n"
+        "  \"trace\": {\"bucket_seconds\": 30, \"time_compression\": 480, "
+        "\"seed\": 1234},\n"
+        "  \"profile\": {\"table_cache\": \"t.csv\", \"eval_memo\": \"m.tsv\", "
+        "\"num_queries\": 111, \"warmup_queries\": 22, \"bisect_iters\": 3, "
+        "\"seed\": 77},\n"
+        "  \"observability\": {\"trace_file\": \"trace.jsonl\", "
+        "\"metrics_file\": \"metrics.csv\", \"sample_rate\": 0.125}\n"
+        "}\n";
+    EXPECT_EQ(text, golden);
+    auto from_golden = parseSpec(golden, &err);
+    ASSERT_TRUE(from_golden.has_value()) << err;
+    expectSameSpec(*from_golden, s);
+}
+
+/**
+ * Seeded byte mutants of every shipped scenario either parse and
+ * re-serialize to a fixed point, or fail with an error naming a line.
+ */
+TEST(SpecIo, MutatedShippedScenariosReachFixedPointOrNameALine)
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto& ent :
+         std::filesystem::directory_iterator(scenarioDir()))
+        if (ent.path().extension() == ".scn")
+            files.push_back(ent.path());
+    std::sort(files.begin(), files.end());  // seeded order
+    ASSERT_GE(files.size(), 6u);
+
+    auto names_line = [](const std::string& err) {
+        size_t digits = err.find_first_not_of("0123456789", 5);
+        return err.compare(0, 5, "line ") == 0 && digits > 5 &&
+               digits != std::string::npos &&
+               err.compare(digits, 2, ": ") == 0;
+    };
+    const std::string alphabet = "{}[]:,\"-.0123456789eE truefalsn\n\\_z";
+    std::mt19937_64 rng(13);
+    size_t parsed = 0;
+    for (const auto& file : files) {
+        const std::string base = readFile(file);
+        for (int k = 0; k < 1500; ++k) {
+            std::string t = base;
+            for (int j = 1 + static_cast<int>(rng() % 3); j > 0; --j) {
+                size_t pos = rng() % (t.size() + 1);
+                char c = alphabet[rng() % alphabet.size()];
+                switch (rng() % 4) {
+                  case 0: if (pos < t.size()) t[pos] = c; break;
+                  case 1: if (pos < t.size()) t.erase(pos, 1); break;
+                  case 2: t.insert(pos, 1, c); break;
+                  default: t.insert(pos, t.substr(pos, 1 + rng() % 12));
+                }
+            }
+            std::string err;
+            auto spec = parseSpec(t, &err);
+            if (!spec.has_value()) {
+                EXPECT_TRUE(names_line(err)) << file << ": " << err;
+                continue;
+            }
+            ++parsed;
+            std::string once = toText(*spec);
+            auto again = parseSpec(once, &err);
+            ASSERT_TRUE(again.has_value()) << file << ": " << err;
+            EXPECT_EQ(toText(*again), once) << file;
+        }
+    }
+    EXPECT_GT(parsed, 0u) << "no mutant parsed: the test checks nothing";
 }
 
 // ---- line/key-precise rejection ------------------------------------------
@@ -561,8 +799,9 @@ TEST(ScenarioRun, PeakFracResolvesAgainstTable)
 
 TEST(ScenarioRun, ValidateSpecCatchesUnrunnableSpecs)
 {
-    // The non-fatal twin of run()'s validation: what --parse-only
-    // (and the CI scenario lint) rejects.
+    // The non-fatal twin of run()'s validation: what
+    // `online_serving_sim --scenario` rejects with exit 1 (and lint's
+    // errors cover, pinned in test_lint.cc).
     std::string err;
     EXPECT_TRUE(validateSpec(goldenSpec(), &err));
 
