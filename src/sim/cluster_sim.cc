@@ -420,6 +420,7 @@ ClusterSim::route(const workload::Query& q)
         panic("ClusterSim::route: query for service %d but shards exist "
               "for %d services",
               svc, numServices());
+    ++service_state_[static_cast<size_t>(svc)].routed;
     int s = routers_[static_cast<size_t>(svc)].pick(
         *this, active_by_service_[static_cast<size_t>(svc)]);
     if (s < 0) {
@@ -528,6 +529,9 @@ ClusterSim::harvest(double t0_s, double t1_s)
 
     PercentileTracker lat;
     std::vector<PercentileTracker> svc_lat(num_services);
+    // The per-shard window tracker feeds only the latency-feedback
+    // weight update below; other routers never read it.
+    const bool feedback = opt_.router == RouterPolicy::LatencyFeedback;
     double consumed = 0.0;
     for (Shard& s : shards_) {
         const int sid = static_cast<int>(&s - shards_.data());
@@ -542,7 +546,8 @@ ClusterSim::harvest(double t0_s, double t1_s)
             double ms = c.latencyMs();
             lat.add(ms);
             svc_lat[v].add(ms);
-            shard_lat.add(ms);
+            if (feedback)
+                shard_lat.add(ms);
             all_latency_ms_.add(ms);
             service_state_[v].latency_ms.add(ms);
             if (ms > sla) {
@@ -572,8 +577,7 @@ ClusterSim::harvest(double t0_s, double t1_s)
         // and its post-kill empty window must not read as "drained and
         // recovering" — recovery restores routing at the frozen weight
         // and the first real window speaks for itself.
-        if (opt_.router == RouterPolicy::LatencyFeedback &&
-            s.health != fault::HealthState::Failed) {
+        if (feedback && s.health != fault::HealthState::Failed) {
             double p99;
             if (shard_lat.count() > 0)
                 p99 = shard_lat.p99();
@@ -634,6 +638,34 @@ ClusterSim::harvest(double t0_s, double t1_s)
                   : 0.0;
     st.consumed_power_w = consumed;
     return st;
+}
+
+void
+ClusterSim::checkConservation() const
+{
+    // After the drain and the tail harvest nothing is in flight: every
+    // admitted query either completed (and was harvested) or was
+    // killed by a crash, and every arrival was admitted, dropped or
+    // rejected. O(services); guards the engines' bookkeeping in every
+    // run.
+    size_t routed = 0;
+    for (size_t v = 0; v < service_state_.size(); ++v) {
+        const ServiceState& ss = service_state_[v];
+        const size_t completed = ss.latency_ms.count();
+        if (ss.injected != completed + ss.failed_inflight)
+            panic("ClusterSim::run: service %zu admitted %zu queries but "
+                  "%zu completed and %zu were killed in flight",
+                  v, ss.injected, completed, ss.failed_inflight);
+        if (ss.injected + ss.dropped + ss.rejected != ss.routed)
+            panic("ClusterSim::run: service %zu routed %zu arrivals but "
+                  "admitted %zu, dropped %zu and rejected %zu",
+                  v, ss.routed, ss.injected, ss.dropped, ss.rejected);
+        routed += ss.routed;
+    }
+    if (injected_ + dropped_ + rejected_ != routed)
+        panic("ClusterSim::run: %zu arrivals routed but %zu admitted, %zu "
+              "dropped and %zu rejected run-wide",
+              routed, injected_, dropped_, rejected_);
 }
 
 ClusterSimResult
@@ -734,6 +766,7 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
             r.intervals.push_back(tail);
         }
     }
+    checkConservation();
 
     r.injected = injected_;
     r.dropped = dropped_;

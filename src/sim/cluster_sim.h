@@ -489,7 +489,8 @@ class ClusterSim
     /** Per-service routing + accounting state. */
     struct ServiceState
     {
-        size_t injected = 0;
+        size_t routed = 0;    ///< arrivals offered to route()
+        size_t injected = 0;  ///< admitted into a shard
         size_t dropped = 0;
         size_t rejected = 0;
         size_t failed_inflight = 0;  ///< crash-killed in-flight queries
@@ -503,6 +504,8 @@ class ClusterSim
 
     void ensureService(int service);
     void rebuildActive();
+    /** Panic unless every arrival is accounted for (end of run()). */
+    void checkConservation() const;
 
     Options opt_;
     SimOptions shard_opt_;  ///< shared by all shard instances

@@ -1,34 +1,43 @@
 /**
  * @file
- * Minimal discrete-event scheduler: a time-ordered queue of callbacks
- * with deterministic FIFO tie-breaking (equal timestamps run in
+ * Minimal discrete-event scheduler: a time-ordered queue of plain event
+ * records with deterministic FIFO tie-breaking (equal timestamps pop in
  * scheduling order, so floating-point ties can never reorder runs).
+ *
+ * The queue stores records, not callbacks: the owner pops each record
+ * and dispatches it itself (ServerInstance switches on the record's
+ * kind). Records are trivially copyable, so scheduling allocates only
+ * when the heap's storage grows.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "util/logging.h"
 
 namespace hercules::sim {
 
-/** Priority queue of (time, callback) events. */
+/** Priority queue of (time, record) events. */
+template <typename Event>
 class EventQueue
 {
-  public:
-    using Callback = std::function<void()>;
+    static_assert(std::is_trivially_copyable_v<Event>,
+                  "EventQueue records must be trivially copyable");
 
-    /** Schedule `fn` at absolute time `t` seconds (>= now). */
+  public:
+    /** Schedule `ev` at absolute time `t` seconds (>= now). */
     void
-    schedule(double t, Callback fn)
+    schedule(double t, const Event& ev)
     {
         if (t < now_)
             panic("EventQueue: scheduling into the past (%f < %f)", t,
                   now_);
-        heap_.push(Event{t, seq_++, std::move(fn)});
+        heap_.push(Entry{t, seq_++, ev});
         if (heap_.size() > peak_)
             peak_ = heap_.size();
     }
@@ -36,7 +45,7 @@ class EventQueue
     /** @return true when no events remain. */
     bool empty() const { return heap_.empty(); }
 
-    /** @return current simulation time (of the last executed event). */
+    /** @return current simulation time (of the last popped event). */
     double now() const { return now_; }
 
     /** @return timestamp of the next pending event (panics when empty). */
@@ -48,28 +57,20 @@ class EventQueue
         return heap_.top().t;
     }
 
-    /** Pop and run the next event; advances now(). */
-    void
-    runNext()
+    /**
+     * Pop the next event: advances now() to its timestamp, counts it as
+     * executed and returns its record for the caller to dispatch.
+     */
+    Event
+    pop()
     {
         if (heap_.empty())
-            panic("EventQueue: runNext on empty queue");
-        // std::priority_queue::top returns const&; the callback must be
-        // moved out before pop, hence the const_cast on our own storage.
-        Event& ev = const_cast<Event&>(heap_.top());
-        now_ = ev.t;
-        Callback fn = std::move(ev.fn);
+            panic("EventQueue: pop on empty queue");
+        const Entry top = heap_.top();
         heap_.pop();
+        now_ = top.t;
         ++executed_;
-        fn();
-    }
-
-    /** Run events until the queue drains. */
-    void
-    runAll()
-    {
-        while (!heap_.empty())
-            runNext();
+        return top.ev;
     }
 
     /**
@@ -89,14 +90,14 @@ class EventQueue
     size_t peakDepth() const { return peak_; }
 
   private:
-    struct Event
+    struct Entry
     {
         double t;
         uint64_t seq;
-        Callback fn;
+        Event ev;
 
         bool
-        operator>(const Event& o) const
+        operator>(const Entry& o) const
         {
             if (t != o.t)
                 return t > o.t;
@@ -104,7 +105,7 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
     uint64_t seq_ = 0;
     double now_ = 0.0;
     uint64_t executed_ = 0;

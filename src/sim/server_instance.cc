@@ -54,28 +54,44 @@ ServerInstance::inject(const workload::Query& q)
     if (idx == opt_.warmup_queries)
         steady_start_ = st.arrival;
     queries_.push_back(st);
-    eq_.schedule(st.arrival, [this, idx] { arrival(idx); });
+    eq_.schedule(st.arrival, Event{EventKind::Arrival, idx, 0, {}});
     return idx;
+}
+
+void
+ServerInstance::runNext()
+{
+    const Event ev = eq_.pop();
+    const size_t tid = static_cast<size_t>(ev.index);
+    switch (ev.kind) {
+      case EventKind::Arrival: arrival(ev.index); return;
+      case EventKind::PoolDone: poolDone(ev.index, ev.chunk); return;
+      case EventKind::HostStageDone: gpuHostStageDone(tid, ev.slot); return;
+      case EventKind::Loaded: onLoaded(tid, ev.slot); return;
+      case EventKind::ExecDone: onExecDone(tid, ev.slot); return;
+    }
+    panic("ServerInstance: bad event kind %d", static_cast<int>(ev.kind));
 }
 
 void
 ServerInstance::advanceTo(double t_s)
 {
     while (!eq_.empty() && eq_.nextTime() <= t_s)
-        eq_.runNext();
+        runNext();
 }
 
 void
 ServerInstance::drain()
 {
-    eq_.runAll();
+    while (!eq_.empty())
+        runNext();
 }
 
 void
 ServerInstance::step()
 {
     if (!eq_.empty())
-        eq_.runNext();
+        runNext();
 }
 
 void
@@ -113,10 +129,11 @@ ServerInstance::killInFlight()
         th.loading = false;
         th.has_loaded = false;
         th.executing = false;
-        th.loaded = Batch{};
     }
     fusion_queue_.clear();
     host_stage_queue_.clear();
+    batches_.clear();
+    free_batches_.clear();
     host_stage_idle_ = host_pool_.total;
     pcie_free_ = eq_.now();
     return killed;
@@ -213,7 +230,7 @@ ServerInstance::chargeBins(std::vector<double>& bins, double start_s,
 }
 
 void
-ServerInstance::splitToPool(int qidx, Pool& pool, int batch)
+ServerInstance::splitToPool(int qidx, int pool_index, int batch)
 {
     QueryState& q = queries_[static_cast<size_t>(qidx)];
     int remaining = q.size;
@@ -221,25 +238,27 @@ ServerInstance::splitToPool(int qidx, Pool& pool, int batch)
         int take = std::min(remaining, batch);
         remaining -= take;
         ++q.pending;
-        enqueue(pool, Chunk{qidx, take, q.ps});
+        enqueue(pool_index, Chunk{qidx, take, q.ps});
     }
 }
 
 void
-ServerInstance::enqueue(Pool& pool, Chunk c)
+ServerInstance::enqueue(int pool_index, Chunk c)
 {
-    if (pool.idle > 0) {
-        --pool.idle;
-        poolServe(pool, c);
+    Pool& p = pool(pool_index);
+    if (p.idle > 0) {
+        --p.idle;
+        poolServe(pool_index, c);
     } else {
-        pool.queue.push_back(c);
+        p.queue.push_back(c);
     }
 }
 
 void
-ServerInstance::poolServe(Pool& pool, Chunk c)
+ServerInstance::poolServe(int pool_index, Chunk c)
 {
-    int pool_id = (&pool == &cpu_pool_)
+    const Pool& p = pool(pool_index);
+    int pool_id = pool_index == kPoolCpu
                       ? (mapping() == Mapping::CpuModelBased ? 0 : 1)
                       : 2;
     QueryState& q = queries_[static_cast<size_t>(c.query)];
@@ -256,8 +275,7 @@ ServerInstance::poolServe(Pool& pool, Chunk c)
     // Op-workers blocked on the dependency chain do not burn busy
     // cycles (the Fig 4(c)/Fig 5 utilization effect).
     chargeBins(cpu_busy_s_, start, end,
-               static_cast<double>(pool.cores_each) *
-                   (1.0 - s.idle_frac));
+               static_cast<double>(p.cores_each) * (1.0 - s.idle_frac));
     chargeBins(mem_bytes_, start, end,
                s.dram_bytes / (s.latency_us * 1e-6));
     if (s.nmp_busy_us > 0.0)
@@ -265,16 +283,16 @@ ServerInstance::poolServe(Pool& pool, Chunk c)
     if (c.query >= opt_.warmup_queries)
         exec_ms_.add(s.latency_us * 1e-3);
 
-    eq_.schedule(end, [this, &pool, c] { poolDone(pool, c); });
+    eq_.schedule(end, Event{EventKind::PoolDone, pool_index, 0, c});
 }
 
 void
-ServerInstance::poolDone(Pool& pool, Chunk c)
+ServerInstance::poolDone(int pool_index, Chunk c)
 {
     // Hand the chunk to the next stage.
-    if (&pool == &cpu_pool_ && mapping() == Mapping::CpuSdPipeline) {
-        enqueue(dense_pool_, c);
-    } else if (&pool == &cpu_pool_ &&
+    if (pool_index == kPoolCpu && mapping() == Mapping::CpuSdPipeline) {
+        enqueue(kPoolDense, c);
+    } else if (pool_index == kPoolCpu &&
                mapping() == Mapping::GpuSdPipeline) {
         fusion_queue_.push_back(c);
         for (size_t t = 0; t < gpu_threads_.size(); ++t)
@@ -283,12 +301,13 @@ ServerInstance::poolDone(Pool& pool, Chunk c)
         queryPartDone(c.query);
     }
     // Pull the next chunk.
-    if (!pool.queue.empty()) {
-        Chunk next = pool.queue.front();
-        pool.queue.pop_front();
-        poolServe(pool, next);
+    Pool& p = pool(pool_index);
+    if (!p.queue.empty()) {
+        Chunk next = p.queue.front();
+        p.queue.pop_front();
+        poolServe(pool_index, next);
     } else {
-        ++pool.idle;
+        ++p.idle;
     }
 }
 
@@ -327,7 +346,7 @@ ServerInstance::arrival(int qidx)
       case Mapping::CpuModelBased:
       case Mapping::CpuSdPipeline:
       case Mapping::GpuSdPipeline:
-        splitToPool(qidx, cpu_pool_, w_.config.batch);
+        splitToPool(qidx, kPoolCpu, w_.config.batch);
         break;
       case Mapping::GpuModelBased: {
         // Queries enter the fusion queue whole; oversized queries are
@@ -348,6 +367,21 @@ ServerInstance::arrival(int qidx)
     }
 }
 
+uint32_t
+ServerInstance::allocBatch()
+{
+    if (free_batches_.empty()) {
+        batches_.emplace_back();
+        return static_cast<uint32_t>(batches_.size() - 1);
+    }
+    uint32_t slot = free_batches_.back();
+    free_batches_.pop_back();
+    Batch& b = batches_[slot];
+    b.chunks.clear();
+    b.items = 0;
+    return slot;
+}
+
 void
 ServerInstance::tryFormGpuBatch(size_t tid)
 {
@@ -355,7 +389,8 @@ ServerInstance::tryFormGpuBatch(size_t tid)
     if (th.loading || th.has_loaded || fusion_queue_.empty())
         return;
 
-    Batch b;
+    const uint32_t slot = allocBatch();
+    Batch& b = batches_[slot];
     int limit = w_.config.fusion_limit;
     while (!fusion_queue_.empty()) {
         const Chunk& c = fusion_queue_.front();
@@ -388,67 +423,56 @@ ServerInstance::tryFormGpuBatch(size_t tid)
         // Host threads pre-reduce the cold embedding fraction.
         if (host_stage_idle_ > 0) {
             --host_stage_idle_;
-            Batch copy = b;
-            size_t t = tid;
-            ServiceSample s = cpuService(3, b.items, b.ps);
-            double end = eq_.now() + s.latency_us * 1e-6 * slowdown_;
-            chargeBins(cpu_busy_s_, eq_.now(), end,
-                       static_cast<double>(host_pool_.cores_each) *
-                           (1.0 - s.idle_frac));
-            chargeBins(mem_bytes_, eq_.now(), end,
-                       s.dram_bytes / (s.latency_us * 1e-6));
-            if (s.nmp_busy_us > 0.0)
-                chargeBins(nmp_busy_s_, eq_.now(),
-                           eq_.now() + s.nmp_busy_us * 1e-6, 1.0);
-            for (const Chunk& c : b.chunks)
-                if (c.query >= opt_.warmup_queries) {
-                    host_ms_.add(s.latency_us * 1e-3);
-                    break;
-                }
-            eq_.schedule(end,
-                         [this, t, copy] { gpuHostStageDone(t, copy); });
+            startHostStage(tid, slot);
         } else {
-            host_stage_queue_.emplace_back(tid, std::move(b));
+            host_stage_queue_.emplace_back(tid, slot);
         }
     } else {
-        startTransfer(tid, std::move(b));
+        startTransfer(tid, slot);
     }
 }
 
 void
-ServerInstance::gpuHostStageDone(size_t tid, Batch b)
+ServerInstance::startHostStage(size_t tid, uint32_t slot)
 {
-    startTransfer(tid, std::move(b));
+    const Batch& b = batches_[slot];
+    ServiceSample s = cpuService(3, b.items, b.ps);
+    double end = eq_.now() + s.latency_us * 1e-6 * slowdown_;
+    chargeBins(cpu_busy_s_, eq_.now(), end,
+               static_cast<double>(host_pool_.cores_each) *
+                   (1.0 - s.idle_frac));
+    chargeBins(mem_bytes_, eq_.now(), end,
+               s.dram_bytes / (s.latency_us * 1e-6));
+    if (s.nmp_busy_us > 0.0)
+        chargeBins(nmp_busy_s_, eq_.now(),
+                   eq_.now() + s.nmp_busy_us * 1e-6, 1.0);
+    for (const Chunk& c : b.chunks)
+        if (c.query >= opt_.warmup_queries) {
+            host_ms_.add(s.latency_us * 1e-3);
+            break;
+        }
+    eq_.schedule(end, Event{EventKind::HostStageDone, static_cast<int>(tid),
+                            slot, {}});
+}
+
+void
+ServerInstance::gpuHostStageDone(size_t tid, uint32_t slot)
+{
+    startTransfer(tid, slot);
     // Free host helper; pull queued host-stage work.
     if (!host_stage_queue_.empty()) {
-        auto [next_tid, next_b] = std::move(host_stage_queue_.front());
+        auto [next_tid, next_slot] = host_stage_queue_.front();
         host_stage_queue_.pop_front();
-        size_t t = next_tid;
-        ServiceSample s = cpuService(3, next_b.items, next_b.ps);
-        double end = eq_.now() + s.latency_us * 1e-6 * slowdown_;
-        chargeBins(cpu_busy_s_, eq_.now(), end,
-                   static_cast<double>(host_pool_.cores_each) *
-                       (1.0 - s.idle_frac));
-        chargeBins(mem_bytes_, eq_.now(), end,
-                   s.dram_bytes / (s.latency_us * 1e-6));
-        if (s.nmp_busy_us > 0.0)
-            chargeBins(nmp_busy_s_, eq_.now(),
-                       eq_.now() + s.nmp_busy_us * 1e-6, 1.0);
-        for (const Chunk& c : next_b.chunks)
-            if (c.query >= opt_.warmup_queries) {
-                host_ms_.add(s.latency_us * 1e-3);
-                break;
-            }
-        Batch copy = std::move(next_b);
-        eq_.schedule(end, [this, t, copy] { gpuHostStageDone(t, copy); });
+        startHostStage(next_tid, next_slot);
     } else {
         ++host_stage_idle_;
     }
 }
 
 void
-ServerInstance::startTransfer(size_t tid, Batch b)
+ServerInstance::startTransfer(size_t tid, uint32_t slot)
 {
+    const Batch& b = batches_[slot];
     const model::Graph& g =
         mapping() == Mapping::GpuModelBased ? w_.full : w_.dense;
     hw::GpuExecContext cx = w_.gpu_cx;
@@ -467,28 +491,29 @@ ServerInstance::startTransfer(size_t tid, Batch b)
             load_ms_.add((end - eq_.now()) * 1e3);
             break;
         }
-    Batch copy = std::move(b);
-    eq_.schedule(end, [this, tid, copy] { onLoaded(tid, copy); });
+    eq_.schedule(end, Event{EventKind::Loaded, static_cast<int>(tid),
+                            slot, {}});
 }
 
 void
-ServerInstance::onLoaded(size_t tid, Batch b)
+ServerInstance::onLoaded(size_t tid, uint32_t slot)
 {
     GpuThread& th = gpu_threads_[tid];
     th.loading = false;
     if (th.executing) {
-        th.loaded = std::move(b);
+        th.loaded = slot;
         th.has_loaded = true;
     } else {
-        startExec(tid, std::move(b));
+        startExec(tid, slot);
         // Prefetch the next batch while this one executes.
         tryFormGpuBatch(tid);
     }
 }
 
 void
-ServerInstance::startExec(size_t tid, Batch b)
+ServerInstance::startExec(size_t tid, uint32_t slot)
 {
+    const Batch& b = batches_[slot];
     GpuThread& th = gpu_threads_[tid];
     th.executing = true;
     const model::Graph& g =
@@ -503,21 +528,21 @@ ServerInstance::startExec(size_t tid, Batch b)
             exec_ms_.add(t.latency_us * 1e-3);
             break;
         }
-    Batch copy = std::move(b);
-    eq_.schedule(end, [this, tid, copy] { onExecDone(tid, copy); });
+    eq_.schedule(end, Event{EventKind::ExecDone, static_cast<int>(tid),
+                            slot, {}});
 }
 
 void
-ServerInstance::onExecDone(size_t tid, Batch b)
+ServerInstance::onExecDone(size_t tid, uint32_t slot)
 {
     GpuThread& th = gpu_threads_[tid];
     th.executing = false;
-    for (const Chunk& c : b.chunks)
+    for (const Chunk& c : batches_[slot].chunks)
         queryPartDone(c.query);
+    free_batches_.push_back(slot);
     if (th.has_loaded) {
         th.has_loaded = false;
-        Batch next = std::move(th.loaded);
-        startExec(tid, std::move(next));
+        startExec(tid, th.loaded);
     }
     tryFormGpuBatch(tid);
 }

@@ -24,6 +24,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -47,7 +48,8 @@ class ServerInstance
      */
     ServerInstance(const PreparedWorkload& w, const SimOptions& opt);
 
-    // Scheduled callbacks capture `this`: the instance must not move.
+    // Pools and GPU threads are addressed by member position; copying
+    // an instance mid-run would be meaningless.
     ServerInstance(const ServerInstance&) = delete;
     ServerInstance& operator=(const ServerInstance&) = delete;
 
@@ -178,13 +180,43 @@ class ServerInstance
         double ps = 1.0;  ///< pooling scale of the owning query
     };
 
-    /** A fused accelerator batch. */
+    /**
+     * A fused accelerator batch. In-flight batches live in `batches_`
+     * and move through the GPU pipeline by slot index.
+     */
     struct Batch
     {
         std::vector<Chunk> chunks;
         int items = 0;
         double ps = 1.0;  ///< item-weighted pooling scale
     };
+
+    // ---- events ---------------------------------------------------------
+    /**
+     * What a scheduled event does when it fires. Adding a kind takes
+     * one value here and one arm in runNext()'s switch.
+     */
+    enum class EventKind : uint8_t
+    {
+        Arrival,        ///< query `index` arrives
+        PoolDone,       ///< pool `index` finished `chunk`
+        HostStageDone,  ///< GPU thread `index`: batch `slot` pre-reduced
+        Loaded,         ///< GPU thread `index`: batch `slot` transferred
+        ExecDone,       ///< GPU thread `index`: batch `slot` executed
+    };
+
+    /** The record the event queue carries: plain data, no capture. */
+    struct Event
+    {
+        EventKind kind = EventKind::Arrival;
+        int index = 0;      ///< query, pool (kPool*) or GPU thread
+        uint32_t slot = 0;  ///< batch slot (GPU pipeline kinds)
+        Chunk chunk;        ///< the finished chunk (PoolDone)
+    };
+
+    /** Pool indices carried by PoolDone events. */
+    static constexpr int kPoolCpu = 0;
+    static constexpr int kPoolDense = 1;
 
     /**
      * Linear-in-pooling-scale service memo: CPU graph timings are
@@ -237,22 +269,29 @@ class ServerInstance
         bool loading = false;    ///< a batch is being staged/transferred
         bool has_loaded = false; ///< a loaded batch waits for the executor
         bool executing = false;
-        Batch loaded;
+        uint32_t loaded = 0;     ///< batch slot waiting (has_loaded)
     };
 
+    /** Pop the next event and run its handler (the one kind switch). */
+    void runNext();
+    Pool& pool(int index)
+    { return index == kPoolCpu ? cpu_pool_ : dense_pool_; }
+
     void arrival(int qidx);
-    void splitToPool(int qidx, Pool& pool, int batch);
-    void enqueue(Pool& pool, Chunk c);
-    void poolServe(Pool& pool, Chunk c);
-    void poolDone(Pool& pool, Chunk c);
+    void splitToPool(int qidx, int pool_index, int batch);
+    void enqueue(int pool_index, Chunk c);
+    void poolServe(int pool_index, Chunk c);
+    void poolDone(int pool_index, Chunk c);
     void queryPartDone(int qidx);
 
+    uint32_t allocBatch();
     void tryFormGpuBatch(size_t tid);
-    void gpuHostStageDone(size_t tid, Batch b);
-    void startTransfer(size_t tid, Batch b);
-    void onLoaded(size_t tid, Batch b);
-    void startExec(size_t tid, Batch b);
-    void onExecDone(size_t tid, Batch b);
+    void startHostStage(size_t tid, uint32_t slot);
+    void gpuHostStageDone(size_t tid, uint32_t slot);
+    void startTransfer(size_t tid, uint32_t slot);
+    void onLoaded(size_t tid, uint32_t slot);
+    void startExec(size_t tid, uint32_t slot);
+    void onExecDone(size_t tid, uint32_t slot);
 
     ServiceSample cpuService(int pool_id, int items, double query_ps);
     const model::Graph& poolGraph(int pool_id) const;
@@ -279,7 +318,7 @@ class ServerInstance
     const SimOptions& opt_;
     hw::CostModel cost_;
     hw::PowerModel power_;
-    EventQueue eq_;
+    EventQueue<Event> eq_;
 
     std::vector<QueryState> queries_;
     std::vector<double> completion_times_;  ///< post-warmup, by finish
@@ -292,7 +331,11 @@ class ServerInstance
 
     std::vector<GpuThread> gpu_threads_;
     std::deque<Chunk> fusion_queue_;
-    std::deque<std::pair<size_t, Batch>> host_stage_queue_;
+    /** (GPU thread, batch slot) waiting for a free host helper. */
+    std::deque<std::pair<size_t, uint32_t>> host_stage_queue_;
+    /** In-flight batch storage; freed slots keep their chunk capacity. */
+    std::vector<Batch> batches_;
+    std::vector<uint32_t> free_batches_;
     int host_stage_idle_ = 0;
     double pcie_free_ = 0.0;
     double slowdown_ = 1.0;  ///< latency multiplier (fault injection)

@@ -52,10 +52,16 @@ class OnlineStats
 };
 
 /**
- * Exact percentile tracker: stores all samples and sorts on demand.
+ * Exact percentile tracker: stores every sample and selects on demand.
  *
- * Simulation runs collect a few thousand latency samples, so exact
- * storage is cheap and avoids quantile-sketch approximation error in
+ * A query partially reorders the stored samples with std::nth_element
+ * (O(n) expected) instead of sorting them, and returns the element a
+ * full sort would put at the nearest-rank index, so every percentile
+ * is exact. mean() reads a running sum kept in insertion order, so it
+ * never depends on whether a percentile was read first.
+ *
+ * Simulation runs collect thousands to about a million latency
+ * samples; exact storage avoids quantile-sketch approximation error in
  * tests that assert tail behaviour.
  */
 class PercentileTracker
@@ -92,10 +98,10 @@ class PercentileTracker
     void reset();
 
   private:
-    void sortIfNeeded() const;
-
+    /** Samples; queries reorder them (selection), never drop or add. */
     mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
+    /** Running sum in insertion order (the mean's numerator). */
+    double sum_ = 0.0;
 };
 
 /**

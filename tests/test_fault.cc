@@ -359,6 +359,83 @@ TEST(ClusterSimFaults, FeedbackRouterShiftsLoadAwayFromStraggler)
               fb->injectedPerShard()[0] * 3 / 2);
 }
 
+TEST(ClusterSimFaults, GpuShardsCrashMidPipelineAndRecover)
+{
+    // Two T7 shards, one per service: GPU model-based with a cold host
+    // stage (6 GPU threads leave only part of RMC1's embeddings hot, so
+    // every batch visits the one host helper first) and the GPU S-D
+    // pipeline. Each crash lands while batches sit in the pipeline:
+    // shard 0 has one batch in the host stage, five in (or queued for)
+    // the PCIe transfer and one executing; shard 1 has two transferring
+    // and one executing. Both recover at 0.1 s and serve again; a
+    // helper or GPU thread left marked busy by the crash would strand
+    // every later batch and trip the run's conservation check.
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    sched::SchedulingConfig mb;
+    mb.mapping = sched::Mapping::GpuModelBased;
+    mb.gpu_threads = 6;
+    mb.fusion_limit = 2000;
+    mb.cpu_threads = 1;
+    sched::SchedulingConfig sd;
+    sd.mapping = sched::Mapping::GpuSdPipeline;
+    sd.cpu_threads = 8;
+    sd.cores_per_thread = 2;
+    sd.batch = 128;
+    sd.gpu_threads = 2;
+    sd.fusion_limit = 2000;
+    const hw::ServerSpec& t7 = hw::serverSpec(ServerType::T7);
+    sim::PreparedWorkload w_mb = sim::prepare(t7, m, mb);
+    sim::PreparedWorkload w_sd = sim::prepare(t7, m, sd);
+    ASSERT_LT(w_mb.gpu_cx.hot_hit_rate, 1.0);
+
+    sim::ClusterSim cluster(sim::ClusterSim::Options{});
+    cluster.addShard(w_mb, 1000.0, 0);
+    cluster.addShard(w_sd, 1000.0, 1);
+    cluster.scheduleHealth({
+        {0.059, 0, HealthState::Failed, 1.0},
+        {0.0648, 1, HealthState::Failed, 1.0},
+        {0.1, 0, HealthState::Healthy, 1.0},
+        {0.1, 1, HealthState::Healthy, 1.0},
+    });
+    // 5000 QPS for 0.2 s, three of every four queries to service 0.
+    std::vector<workload::Query> trace(1000);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = i;
+        trace[i].arrival_s = static_cast<double>(i + 1) * 0.0002;
+        trace[i].size = 20 + static_cast<int>((i * 37) % 400);
+        trace[i].service_id = i % 4 == 3 ? 1 : 0;
+        trace[i].pooling_scale = 0.8 + 0.05 * static_cast<double>(i % 9);
+    }
+    sim::ClusterSimResult r = cluster.run(trace, 0.05);
+
+    // Values recorded with the callback-queue engine: the typed event
+    // records and batch slots must replay the crash path exactly.
+    ASSERT_EQ(r.health_transitions.size(), 4u);
+    EXPECT_EQ(r.health_transitions[0].killed_inflight, 61u);
+    EXPECT_EQ(r.health_transitions[1].killed_inflight, 9u);
+    EXPECT_EQ(r.completed, 732u);
+    EXPECT_EQ(r.failed_inflight, 70u);
+    EXPECT_EQ(r.dropped, 198u);
+    EXPECT_EQ(r.p99_ms, 26.746499127896229);
+    EXPECT_EQ(r.des.events_executed, 2465u);
+    EXPECT_EQ(r.avg_consumed_power_w, 316.48364843450076);
+    EXPECT_EQ(r.peak_consumed_power_w, 408.96924256052796);
+    ASSERT_EQ(r.services.size(), 2u);
+    EXPECT_EQ(r.services[0].completed, 535u);
+    EXPECT_EQ(r.services[0].failed_inflight, 61u);
+    EXPECT_EQ(r.services[0].p99_ms, 26.80400533050739);
+    EXPECT_EQ(r.services[1].completed, 197u);
+    EXPECT_EQ(r.services[1].failed_inflight, 9u);
+    EXPECT_EQ(r.services[1].p99_ms, 8.5916697881968105);
+
+    // Both shards serve again after recovery.
+    ASSERT_GE(r.intervals.size(), 4u);
+    EXPECT_EQ(r.intervals[3].services[0].completions, 157u);
+    EXPECT_EQ(r.intervals[3].services[1].completions, 62u);
+    EXPECT_EQ(cluster.shardHealth(0), HealthState::Healthy);
+    EXPECT_EQ(cluster.shardHealth(1), HealthState::Healthy);
+}
+
 // ---- bit-identity: a no-op faults block is invisible ----------------------
 
 /** Hand-built efficiency table (the test_scenario golden shape). */

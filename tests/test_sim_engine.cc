@@ -7,8 +7,10 @@
  */
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.h"
+#include <vector>
+
 #include "hw/power.h"
+#include "sim/event_queue.h"
 #include "sim/server_sim.h"
 
 namespace hercules::sim {
@@ -42,42 +44,96 @@ fastOptions(double qps)
     return opt;
 }
 
+/** A minimal event record for the queue tests. */
+struct Tag
+{
+    int id = 0;
+};
+
+/** Pop every pending event, collecting the record ids in pop order. */
+std::vector<int>
+popAll(EventQueue<Tag>& eq)
+{
+    std::vector<int> order;
+    while (!eq.empty())
+        order.push_back(eq.pop().id);
+    return order;
+}
+
 TEST(EventQueue, FifoWithinEqualTimestamps)
 {
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(1.0, [&] { order.push_back(1); });
-    eq.schedule(1.0, [&] { order.push_back(2); });
-    eq.schedule(0.5, [&] { order.push_back(0); });
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EventQueue<Tag> eq;
+    eq.schedule(1.0, Tag{1});
+    eq.schedule(1.0, Tag{2});
+    eq.schedule(0.5, Tag{0});
+    EXPECT_EQ(popAll(eq), (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueue, NowAdvances)
 {
-    EventQueue eq;
-    eq.schedule(2.5, [] {});
-    eq.runNext();
+    EventQueue<Tag> eq;
+    eq.schedule(2.5, Tag{});
+    eq.pop();
     EXPECT_DOUBLE_EQ(eq.now(), 2.5);
 }
 
 TEST(EventQueue, NestedScheduling)
 {
-    EventQueue eq;
+    // A handler may schedule while dispatching the record it popped.
+    EventQueue<Tag> eq;
+    eq.schedule(1.0, Tag{1});
     int fired = 0;
-    eq.schedule(1.0, [&] {
-        eq.schedule(2.0, [&] { ++fired; });
-    });
-    eq.runAll();
+    while (!eq.empty()) {
+        Tag t = eq.pop();
+        if (t.id == 1)
+            eq.schedule(2.0, Tag{2});
+        else
+            ++fired;
+    }
     EXPECT_EQ(fired, 1);
+    EXPECT_DOUBLE_EQ(eq.now(), 2.0);
+}
+
+TEST(EventQueue, ClearKeepsClockTieBreakAndCounters)
+{
+    EventQueue<Tag> eq;
+    eq.schedule(1.0, Tag{0});
+    eq.schedule(3.0, Tag{1});
+    eq.schedule(4.0, Tag{2});
+    eq.pop();
+    eq.clear();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_DOUBLE_EQ(eq.now(), 1.0);
+    EXPECT_EQ(eq.eventsExecuted(), 1u);
+    EXPECT_EQ(eq.peakDepth(), 3u);
+
+    // Post-clear scheduling stays ordered: equal timestamps (including
+    // one at the preserved now()) pop in scheduling order.
+    eq.schedule(2.0, Tag{5});
+    eq.schedule(1.0, Tag{3});
+    eq.schedule(2.0, Tag{6});
+    eq.schedule(1.0, Tag{4});
+    EXPECT_EQ(popAll(eq), (std::vector<int>{3, 4, 5, 6}));
+    EXPECT_DOUBLE_EQ(eq.now(), 2.0);
+    EXPECT_EQ(eq.eventsExecuted(), 5u);
+    EXPECT_EQ(eq.peakDepth(), 4u);
 }
 
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
-    EventQueue eq;
-    eq.schedule(5.0, [] {});
-    eq.runNext();
-    EXPECT_DEATH(eq.schedule(1.0, [] {}), "past");
+    EventQueue<Tag> eq;
+    eq.schedule(5.0, Tag{});
+    eq.pop();
+    EXPECT_DEATH(eq.schedule(1.0, Tag{}), "past");
+}
+
+TEST(EventQueueDeath, ClearDoesNotRewindTheClock)
+{
+    EventQueue<Tag> eq;
+    eq.schedule(5.0, Tag{});
+    eq.pop();
+    eq.clear();
+    EXPECT_DEATH(eq.schedule(4.0, Tag{}), "past");
 }
 
 TEST(Validate, CoreOversubscriptionRejected)

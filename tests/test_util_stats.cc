@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests for the statistics toolkit: running moments, exact
- * percentiles and histograms.
+ * percentiles (selection checked against a full-sort reference) and
+ * histograms.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace hercules {
@@ -130,6 +133,88 @@ TEST(PercentileTrackerDeath, OutOfRangePercentilePanics)
     PercentileTracker t;
     t.add(1.0);
     EXPECT_DEATH(t.percentile(101.0), "percentile");
+}
+
+/** Nearest-rank percentile of a copy, by full sort (the reference). */
+double
+sortedPercentile(std::vector<double> xs, double p)
+{
+    std::sort(xs.begin(), xs.end());
+    double rank = std::ceil(p / 100.0 * static_cast<double>(xs.size()));
+    size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+    return xs[std::min(idx, xs.size() - 1)];
+}
+
+TEST(PercentileTracker, SelectionMatchesSortReference)
+{
+    // Heavy duplicates (values drawn from a handful of levels) stress
+    // the partition's tie handling; tiny trackers stress the rank
+    // edges. Queries interleave with adds, so every query after the
+    // first selects over a partially reordered sample vector.
+    const double ps[] = {0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0};
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        const size_t n =
+            seed <= 4 ? seed % 2 + 1
+                      : static_cast<size_t>(rng.uniformInt(3, 2000));
+        const int levels = static_cast<int>(rng.uniformInt(1, 12));
+        PercentileTracker t;
+        std::vector<double> ref;
+        for (size_t i = 0; i < n; ++i) {
+            double x = rng.uniform() < 0.8
+                           ? static_cast<double>(
+                                 rng.uniformInt(0, levels - 1)) *
+                                 0.25
+                           : rng.uniform(-5.0, 5.0);
+            t.add(x);
+            ref.push_back(x);
+            if (rng.uniform() < 0.05 || i + 1 == n) {
+                for (double p : ps)
+                    ASSERT_EQ(t.percentile(p), sortedPercentile(ref, p))
+                        << "seed " << seed << " n " << ref.size()
+                        << " p " << p;
+                ASSERT_EQ(t.max(), *std::max_element(ref.begin(),
+                                                     ref.end()));
+                ASSERT_EQ(t.count(), ref.size());
+            }
+        }
+    }
+}
+
+TEST(PercentileTracker, TwoSamples)
+{
+    PercentileTracker t;
+    t.add(7.0);
+    t.add(3.0);
+    EXPECT_EQ(t.percentile(0), 3.0);
+    EXPECT_EQ(t.percentile(50), 3.0);
+    EXPECT_EQ(t.percentile(50.1), 7.0);
+    EXPECT_EQ(t.percentile(100), 7.0);
+    EXPECT_EQ(t.max(), 7.0);
+}
+
+TEST(PercentileTracker, MeanIsInsertionOrderSumUnchangedByQueries)
+{
+    // Values spanning many magnitudes, so the floating-point sum
+    // depends on the order of summation.
+    Rng rng(7);
+    PercentileTracker t;
+    double sum = 0.0;
+    for (int i = 0; i < 1000; ++i) {
+        double x = rng.uniform(0.5, 1.0) *
+                   std::pow(10.0, static_cast<double>(
+                                      rng.uniformInt(-6, 6)));
+        t.add(x);
+        sum += x;
+    }
+    const double before = t.mean();
+    EXPECT_EQ(before, sum / 1000.0);
+    t.p50();
+    t.p99();
+    t.max();
+    EXPECT_EQ(t.mean(), before);
+    t.add(1.0);
+    EXPECT_EQ(t.mean(), (sum + 1.0) / 1001.0);
 }
 
 TEST(Histogram, BinEdgesAndCounts)
