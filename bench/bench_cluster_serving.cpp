@@ -6,61 +6,26 @@
  * The experiment is declared, not wired: the base spec is
  * scenarios/single_service.scn and this bench only applies deltas —
  * the full-mode fleet/horizon, then one (provisioner, router) override
- * per combo — before handing everything to scenario::run(). Every
+ * per arm — before handing everything to scenario::run(). Every
  * query flows through a steppable ServerInstance shard behind the
  * chosen Router; the chosen Provisioner re-provisions the active shard
- * set every interval. Reported per combination: end-to-end p50/p99,
- * SLA-violation rate, provisioned vs consumed power, and re-provision
- * count. The heterogeneity-aware (efficiency-tuple-weighted) router
- * must dominate round-robin on this fleet — that gate is the bench's
- * exit status.
+ * set every interval. The heterogeneity-aware (efficiency-tuple-
+ * weighted) router must dominate round-robin on this fleet — that gate
+ * is the bench's exit status.
  *
- * Results land in BENCH_cluster.json next to the binary (per-interval
- * p99 / violation-rate / power arrays included for the trajectory).
+ * Results land in BENCH_cluster.json next to the binary, one result
+ * object per "provisioner/router" arm.
  *
  * Fast mode (HERCULES_BENCH_FAST=1): the base spec unchanged — 2
  * shards (T2+T3), short horizon.
  */
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "scenario/scenario.h"
-#include "util/table.h"
 
 using namespace hercules;
-
-namespace {
-
-struct ComboResult
-{
-    const char* provisioner;
-    const char* router;
-    double wall_ms = 0.0;
-    scenario::ScenarioResult r;
-};
-
-/**
- * The Provisioner::name() display strings the pre-scenario bench
- * emitted — kept so the "provisioner" values in BENCH_cluster.json
- * stay comparable across the PR trajectory.
- */
-const char*
-provisionerDisplayName(scenario::ProvisionerKind k)
-{
-    switch (k) {
-      case scenario::ProvisionerKind::Hercules: return "Hercules";
-      case scenario::ProvisionerKind::Greedy: return "Greedy";
-      case scenario::ProvisionerKind::PriorityAware:
-        return "Priority-aware";
-      case scenario::ProvisionerKind::Nh: return "NH";
-    }
-    return "?";
-}
-
-}  // namespace
 
 int
 main()
@@ -69,13 +34,11 @@ main()
                   "Router policies x provisioners over a diurnal replay "
                   "on a sharded heterogeneous fleet");
 
-    const bool fast = bench::fastMode();
     scenario::ScenarioSpec spec =
         bench::loadScenario("single_service.scn");
-    if (!fast) {
+    if (!bench::fastMode()) {
         // Full-experiment deltas on the smoke base: the three-type
-        // fleet, the whole day, production compression and the
-        // standard bench profiling knobs.
+        // fleet, the whole day and production compression.
         spec.fleet = {{hw::ServerType::T2, 2},
                       {hw::ServerType::T3, 2},
                       {hw::ServerType::T7, 1}};
@@ -84,10 +47,9 @@ main()
         spec.serve.horizon_hours = 24.0;
         spec.serve.trace.time_compression = 480.0;
         spec.profile.table_cache = "hercules_efficiency_serving.csv";
-        spec.profile.num_queries = 400;
-        spec.profile.warmup_queries = 80;
-        spec.profile.bisect_iters = 5;
     }
+    bench::applyBenchProfile(spec);
+    spec.nh_seed = 11;
 
     core::EfficiencyTable table = scenario::profileTable(spec);
     const model::ModelId model = spec.services[0].spec.model;
@@ -104,132 +66,46 @@ main()
     }
     std::printf("shard fleet capacity: %.0f QPS\n\n", fleet_qps);
 
-    scenario::resolvePeaks(spec, table);
-    const double sla_ms = model::buildModel(model).sla_ms;
-    std::printf("horizon %.0fh, interval %.1fh, peak %.0f QPS, SLA "
-                "%.0f ms, compression %.0fx\n\n",
-                spec.serve.horizon_hours, spec.serve.interval_hours,
-                spec.services[0].spec.load.peak_qps, sla_ms,
-                spec.serve.trace.time_compression);
-
-    const std::vector<scenario::ProvisionerKind> provisioners = {
-        scenario::ProvisionerKind::Hercules,
-        scenario::ProvisionerKind::Greedy,
-        scenario::ProvisionerKind::Nh};
-    spec.nh_seed = 11;
-
-    using Clock = std::chrono::steady_clock;
-    std::vector<ComboResult> results;
-    for (scenario::ProvisionerKind prov : provisioners) {
+    std::vector<bench::Arm> arms;
+    for (scenario::ProvisionerKind prov :
+         {scenario::ProvisionerKind::Hercules,
+          scenario::ProvisionerKind::Greedy,
+          scenario::ProvisionerKind::Nh}) {
         for (sim::RouterPolicy rp : sim::allRouterPolicies()) {
-            spec.provisioner = prov;
-            spec.serve.router = rp;
-            Clock::time_point t0 = Clock::now();
-            ComboResult c;
-            c.provisioner = provisionerDisplayName(prov);
-            c.router = sim::routerPolicyName(rp);
-            c.r = scenario::run(spec, &table);
-            c.wall_ms = std::chrono::duration<double, std::milli>(
-                            Clock::now() - t0)
-                            .count();
-            results.push_back(std::move(c));
+            bench::Arm a{scenario::provisionerKindName(prov), spec, {}};
+            a.name += std::string("/") + sim::routerPolicyName(rp);
+            a.spec.provisioner = prov;
+            a.spec.serve.router = rp;
+            arms.push_back(std::move(a));
         }
     }
-
-    TablePrinter t({"Provisioner", "Router", "p50 (ms)", "p99 (ms)",
-                    "SLA viol", "Prov kW", "Cons kW", "Reprov",
-                    "Wall (ms)"});
-    for (const ComboResult& c : results) {
-        const sim::ClusterSimResult& s = c.r.serve.sim;
-        t.addRow({c.provisioner, c.router, fmtDouble(s.p50_ms, 2),
-                  fmtDouble(s.p99_ms, 2),
-                  fmtPercent(s.sla_violation_rate, 2),
-                  fmtDouble(s.avg_provisioned_power_w / 1e3, 3),
-                  fmtDouble(s.avg_consumed_power_w / 1e3, 3),
-                  std::to_string(c.r.serve.reprovisions),
-                  fmtDouble(c.wall_ms, 0)});
-    }
-    t.print();
+    bench::runArms(arms, table);
+    bench::printArms(arms);
 
     // ---- the heterogeneity gate ---------------------------------------
     // Under the Hercules provisioner, the tuple-weighted router must
     // dominate round-robin on both tail latency and violation rate.
-    const ComboResult* rr = nullptr;
-    const ComboResult* hw_aware = nullptr;
-    for (const ComboResult& c : results) {
-        if (std::string(c.provisioner) != "Hercules")
-            continue;
-        if (std::string(c.router) == "rr")
-            rr = &c;
-        if (std::string(c.router) == "hercules")
-            hw_aware = &c;
-    }
-    bool ok =
-        rr != nullptr && hw_aware != nullptr &&
-        hw_aware->r.serve.sim.p99_ms <= rr->r.serve.sim.p99_ms + 1e-9 &&
-        hw_aware->r.serve.sim.sla_violation_rate <=
-            rr->r.serve.sim.sla_violation_rate + 1e-12;
+    auto arm = [&](const char* name) -> const sim::ClusterSimResult& {
+        for (const bench::Arm& a : arms)
+            if (a.name == name)
+                return a.result.serve.sim;
+        panic("bench_cluster_serving: no arm %s", name);
+    };
+    const sim::ClusterSimResult& rr = arm("hercules/rr");
+    const sim::ClusterSimResult& hw_aware = arm("hercules/hercules");
+    const bool ok =
+        hw_aware.p99_ms <= rr.p99_ms + 1e-9 &&
+        hw_aware.sla_violation_rate <= rr.sla_violation_rate + 1e-12;
     std::printf("\nheterogeneity-aware router vs round-robin: %s (p99 "
                 "%.2f vs %.2f ms, violations %.2f%% vs %.2f%%)\n",
-                ok ? "DOMINATES" : "FAIL",
-                hw_aware ? hw_aware->r.serve.sim.p99_ms : -1.0,
-                rr ? rr->r.serve.sim.p99_ms : -1.0,
-                hw_aware
-                    ? hw_aware->r.serve.sim.sla_violation_rate * 100
-                    : -1.0,
-                rr ? rr->r.serve.sim.sla_violation_rate * 100 : -1.0);
+                ok ? "DOMINATES" : "FAIL", hw_aware.p99_ms, rr.p99_ms,
+                hw_aware.sla_violation_rate * 100,
+                rr.sla_violation_rate * 100);
 
-    // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_cluster.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenario\": \"%s\",\n",
-                     spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     spec.serve.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     spec.serve.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     spec.serve.trace.time_compression);
-        std::fprintf(f, "  \"sla_ms\": %.2f,\n", sla_ms);
-        std::fprintf(f, "  \"peak_qps\": %.1f,\n",
-                     spec.services[0].spec.load.peak_qps);
-        std::fprintf(f, "  \"fleet_capacity_qps\": %.1f,\n",
-                     fleet_qps);
-        std::fprintf(f, "  \"hercules_router_dominates_rr\": %s,\n",
-                     ok ? "true" : "false");
-        std::fprintf(f, "  \"combos\": [\n");
-        for (size_t i = 0; i < results.size(); ++i) {
-            const ComboResult& c = results[i];
-            const sim::ClusterSimResult& s = c.r.serve.sim;
-            std::fprintf(f, "    {\n");
-            std::fprintf(f, "      \"provisioner\": \"%s\",\n",
-                         c.provisioner);
-            std::fprintf(f, "      \"router\": \"%s\",\n", c.router);
-            std::fprintf(f, "      \"wall_ms\": %.1f,\n", c.wall_ms);
-            std::fprintf(f, "      \"queries\": %zu,\n",
-                         c.r.serve.trace_queries);
-            std::fprintf(f, "      \"completed\": %zu,\n", s.completed);
-            std::fprintf(f, "      \"dropped\": %zu,\n", s.dropped);
-            std::fprintf(f, "      \"p50_ms\": %.4f,\n", s.p50_ms);
-            std::fprintf(f, "      \"p99_ms\": %.4f,\n", s.p99_ms);
-            std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                         s.sla_violation_rate);
-            std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                         s.avg_provisioned_power_w);
-            std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                         s.avg_consumed_power_w);
-            std::fprintf(f, "      \"reprovisions\": %d,\n",
-                         c.r.serve.reprovisions);
-            bench::writeIntervalArrays(f, s.intervals);
-            std::fprintf(f, "    }%s\n",
-                         i + 1 < results.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_cluster.json\n");
-    }
-
+    bench::writeArmsJson(
+        "BENCH_cluster.json",
+        {{"fleet_capacity_qps", fmtDouble(fleet_qps, 1)},
+         {"hercules_router_dominates_rr", bench::jsonBool(ok)}},
+        arms);
     return ok ? 0 : 1;
 }

@@ -2,9 +2,11 @@
  * @file
  * Shared setup for the paper-reproduction bench harnesses: search and
  * measurement options sized so the full suite finishes in minutes, a
- * fast mode for smoke runs (HERCULES_BENCH_FAST=1), and the cached
+ * fast mode for smoke runs (HERCULES_BENCH_FAST=1), the cached
  * efficiency-table path that lets the cluster benches reuse the Fig 15
- * profiling results.
+ * profiling results, and the one arm path of the serving benches (a
+ * named list of scenario specs run over one profiled table, one
+ * console table, one BENCH_*.json writer).
  */
 #pragma once
 
@@ -32,13 +34,6 @@ gitSha()
 #endif
 }
 
-/** @return the current UTC time as ISO-8601 (2026-01-31T12:34:56Z). */
-inline std::string
-isoTimestampUtc()
-{
-    return isoUtcTimestamp();
-}
-
 /**
  * Write the provenance preamble every emitted BENCH_*.json starts
  * with, so the perf trajectory stays attributable across PRs. Call
@@ -49,7 +44,7 @@ writeJsonProvenance(FILE* f)
 {
     std::fprintf(f, "  \"git_sha\": \"%s\",\n", gitSha());
     std::fprintf(f, "  \"generated_at\": \"%s\",\n",
-                 isoTimestampUtc().c_str());
+                 isoUtcTimestamp().c_str());
 }
 
 /** @return true when HERCULES_BENCH_FAST=1 (reduced sweep sizes). */
@@ -110,13 +105,18 @@ banner(const char* experiment, const char* what)
 
 }  // namespace hercules::bench
 
+#include <algorithm>
 #include <filesystem>
 #include <optional>
+#include <utility>
+#include <vector>
 
+#include "cluster/cluster_manager.h"
 #include "cluster/evolution.h"
 #include "core/efficiency_table.h"
+#include "scenario/scenario.h"
 #include "scenario/spec_io.h"
-#include "sim/cluster_sim.h"
+#include "util/table.h"
 
 namespace hercules::bench {
 
@@ -148,17 +148,6 @@ loadScenario(const std::string& file)
         std::exit(1);
     }
     return *spec;
-}
-
-/**
- * Emit the per-interval trajectory arrays every serving bench's JSON
- * carries, comma-terminated except the last — the shared
- * sim::writeIntervalArraysJson emitter at the benches' indent depth.
- */
-inline void
-writeIntervalArrays(FILE* f, const std::vector<sim::IntervalStats>& ivs)
-{
-    sim::writeIntervalArraysJson(f, ivs, "      ");
 }
 
 /**
@@ -206,6 +195,162 @@ scaleEvolutionServices(std::vector<cluster::EvolutionService>& services,
         if (capacity > 0.0)
             svc.load.peak_qps = fleet_fraction * capacity;
     }
+}
+
+// ---- the serving benches' arm path ---------------------------------------
+
+/**
+ * Set a spec's profiling knobs to the bench measurement options
+ * (benchSearchOptions()), so every serving bench profiles its table
+ * the way the grid benches measure.
+ */
+inline void
+applyBenchProfile(scenario::ScenarioSpec& spec)
+{
+    const sim::MeasureOptions mo = benchSearchOptions().measure;
+    spec.profile.num_queries = mo.sim.num_queries;
+    spec.profile.warmup_queries = mo.sim.warmup_queries;
+    spec.profile.bisect_iters = mo.bisect_iters;
+    spec.profile.seed = mo.sim.seed;
+}
+
+/**
+ * The over-provision rate R the serving benches share across arms:
+ * the services' max inter-interval forecast ramp plus 15% tail
+ * headroom. The efficiency-tuple QPS is latency-bounded, so covering
+ * exactly load * (1 + ramp) would run shards at their SLA edge. Call
+ * on a spec whose peaks are resolved.
+ */
+inline double
+headroomOverprovisionRate(const scenario::ScenarioSpec& spec)
+{
+    constexpr double kTailHeadroom = 0.15;
+    double ramp = 0.0;
+    for (const scenario::ServiceScenario& s : spec.services)
+        ramp = std::max(ramp, cluster::estimateOverprovisionRate(
+                                  workload::DiurnalLoad(s.spec.load),
+                                  spec.serve.interval_hours,
+                                  spec.serve.horizon_hours));
+    return ramp + kTailHeadroom;
+}
+
+/**
+ * @return true when every service of a peak-resolved spec has a
+ * positive peak, i.e. capacity on the fleet; else names the first
+ * infeasible service.
+ */
+inline bool
+servicesFeasible(const scenario::ScenarioSpec& spec)
+{
+    for (const scenario::ServiceScenario& s : spec.services) {
+        if (s.spec.load.peak_qps <= 0.0) {
+            std::printf("%s infeasible on this fleet — abort\n",
+                        model::modelName(s.spec.model));
+            return false;
+        }
+    }
+    return true;
+}
+
+/** One named arm of a serving bench: its spec and, once run, result. */
+struct Arm
+{
+    std::string name;
+    scenario::ScenarioSpec spec;
+    scenario::ScenarioResult result;
+};
+
+/** Run every arm, in order, over one profiled table. */
+inline void
+runArms(std::vector<Arm>& arms, const core::EfficiencyTable& table)
+{
+    for (Arm& a : arms)
+        a.result = scenario::run(a.spec, &table);
+}
+
+/**
+ * Print the serving benches' per-arm table: per arm one aggregate row,
+ * preceded by a row per service when the arm co-serves several.
+ */
+inline void
+printArms(const std::vector<Arm>& arms)
+{
+    TablePrinter t({"Arm", "Service", "Completed", "Rejected", "Dropped",
+                    "Killed", "p50 (ms)", "p99 (ms)", "SLA (ms)",
+                    "Viol rate", "Prov kW", "Cons kW", "Reprov",
+                    "Wall (ms)"});
+    for (size_t i = 0; i < arms.size(); ++i) {
+        const scenario::ScenarioResult& r = arms[i].result;
+        const sim::ClusterSimResult& s = r.serve.sim;
+        const bool multi = s.services.size() > 1;
+        if (multi && i > 0)
+            t.addSeparator();
+        for (size_t k = 0; multi && k < s.services.size(); ++k) {
+            const sim::ServiceRunStats& v = s.services[k];
+            t.addRow({arms[i].name, r.resolved.services[k].name,
+                      std::to_string(v.completed),
+                      std::to_string(v.rejected),
+                      std::to_string(v.dropped),
+                      std::to_string(v.failed_inflight),
+                      fmtDouble(v.p50_ms, 2), fmtDouble(v.p99_ms, 2),
+                      fmtDouble(v.sla_ms, 0),
+                      fmtPercent(v.sla_violation_rate, 2), "", "", "",
+                      ""});
+        }
+        t.addRow({arms[i].name,
+                  multi ? "all" : r.resolved.services[0].name,
+                  std::to_string(s.completed), std::to_string(s.rejected),
+                  std::to_string(s.dropped),
+                  std::to_string(s.failed_inflight),
+                  fmtDouble(s.p50_ms, 2), fmtDouble(s.p99_ms, 2),
+                  multi ? "" : fmtDouble(s.services[0].sla_ms, 0),
+                  fmtPercent(s.sla_violation_rate, 2),
+                  fmtDouble(s.avg_provisioned_power_w / 1e3, 3),
+                  fmtDouble(s.avg_consumed_power_w / 1e3, 3),
+                  std::to_string(r.serve.reprovisions),
+                  fmtDouble(r.serve_wall_ms, 0)});
+    }
+    t.print();
+}
+
+/** A bench's JSON header: key and preformatted JSON value, in order. */
+using JsonHeader = std::vector<std::pair<std::string, std::string>>;
+
+/** @return a JSON boolean literal. */
+inline std::string
+jsonBool(bool b)
+{
+    return b ? "true" : "false";
+}
+
+/**
+ * Write a serving bench's BENCH_*.json: provenance, the bench's
+ * header (the knobs it computed and its gate verdicts), then every arm
+ * as {"arm": name, <scenario::writeResultFields>} under "arms".
+ */
+inline void
+writeArmsJson(const char* path, const JsonHeader& header,
+              const std::vector<Arm>& arms)
+{
+    FILE* f = std::fopen(path, "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "bench: cannot open %s\n", path);
+        return;
+    }
+    std::fprintf(f, "{\n");
+    writeJsonProvenance(f);
+    for (const auto& [key, value] : header)
+        std::fprintf(f, "  \"%s\": %s,\n", key.c_str(), value.c_str());
+    std::fprintf(f, "  \"arms\": [\n");
+    for (size_t i = 0; i < arms.size(); ++i) {
+        std::fprintf(f, "    {\n      \"arm\": \"%s\",\n",
+                     arms[i].name.c_str());
+        scenario::writeResultFields(f, arms[i].result, "      ");
+        std::fprintf(f, "    }%s\n", i + 1 < arms.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("\nwrote %s\n", path);
 }
 
 }  // namespace hercules::bench

@@ -25,7 +25,7 @@
  *
  * All three arms replay bitwise-identical merged traces (same specs
  * and seeds; faults only change shard health). Results land in
- * BENCH_faults.json.
+ * BENCH_faults.json, one result object per arm.
  *
  * Fast mode (HERCULES_BENCH_FAST=1): 12h horizon, 960x compression,
  * reduced profiling probes.
@@ -36,9 +36,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cluster/cluster_manager.h"
-#include "scenario/scenario.h"
-#include "util/table.h"
 
 using namespace hercules;
 
@@ -51,113 +48,11 @@ constexpr double kRecoveryTol = 0.02;
 /** Extra over-provision rate the STATIC arm burns at all times. */
 constexpr double kStaticExtraR = 0.5;
 
-/** One arm's aggregate view. */
-struct ArmResult
+/** @return service `svc`'s violation rate in interval `i` of a run. */
+double
+violRate(const scenario::ScenarioResult& r, size_t i, size_t svc)
 {
-    std::string name;
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t rejected = 0;
-    size_t failed_inflight = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double wall_ms = 0.0;
-    size_t health_transitions = 0;
-    std::vector<sim::ServiceRunStats> services;
-    std::vector<sim::IntervalStats> intervals;
-};
-
-ArmResult
-runArm(const std::string& name, const scenario::ScenarioSpec& spec,
-       const core::EfficiencyTable& table)
-{
-    scenario::ScenarioResult r = scenario::run(spec, &table);
-    ArmResult out;
-    out.name = name;
-    out.wall_ms = r.serve_wall_ms;
-    out.avg_provisioned_w = r.serve.sim.avg_provisioned_power_w;
-    out.avg_consumed_w = r.serve.sim.avg_consumed_power_w;
-    out.completed = r.serve.sim.completed;
-    out.dropped = r.serve.sim.dropped;
-    out.rejected = r.serve.sim.rejected;
-    out.failed_inflight = r.serve.sim.failed_inflight;
-    out.sla_violations = r.serve.sim.sla_violations;
-    out.sla_violation_rate = r.serve.sim.sla_violation_rate;
-    out.p99_ms = r.serve.sim.p99_ms;
-    out.health_transitions = r.serve.sim.health_transitions.size();
-    out.services = r.serve.sim.services;
-    out.intervals = r.serve.sim.intervals;
-    return out;
-}
-
-void
-printArm(const ArmResult& r, const std::vector<model::ModelId>& models)
-{
-    std::printf("%s:\n", r.name.c_str());
-    TablePrinter t({"Service", "Completed", "Rejected", "Dropped",
-                    "Killed", "p99 (ms)", "Viol rate"});
-    for (size_t s = 0; s < r.services.size(); ++s) {
-        const sim::ServiceRunStats& svc = r.services[s];
-        t.addRow({model::modelName(models[s]),
-                  std::to_string(svc.completed),
-                  std::to_string(svc.rejected),
-                  std::to_string(svc.dropped),
-                  std::to_string(svc.failed_inflight),
-                  fmtDouble(svc.p99_ms, 2),
-                  fmtPercent(svc.sla_violation_rate, 2)});
-    }
-    t.print();
-    std::printf("  avg power %.3f kW provisioned / %.3f kW consumed, "
-                "violation rate %.2f%%, %zu killed in-flight, %zu "
-                "health transitions, wall %.0f ms\n\n",
-                r.avg_provisioned_w / 1e3, r.avg_consumed_w / 1e3,
-                r.sla_violation_rate * 100.0, r.failed_inflight,
-                r.health_transitions, r.wall_ms);
-}
-
-void
-writeArmJson(FILE* f, const ArmResult& r,
-             const std::vector<model::ModelId>& models, bool last)
-{
-    std::fprintf(f, "  \"%s\": {\n", r.name.c_str());
-    std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                 r.avg_provisioned_w);
-    std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                 r.avg_consumed_w);
-    std::fprintf(f, "      \"completed\": %zu,\n", r.completed);
-    std::fprintf(f, "      \"rejected\": %zu,\n", r.rejected);
-    std::fprintf(f, "      \"dropped\": %zu,\n", r.dropped);
-    std::fprintf(f, "      \"failed_inflight\": %zu,\n",
-                 r.failed_inflight);
-    std::fprintf(f, "      \"sla_violations\": %zu,\n",
-                 r.sla_violations);
-    std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                 r.sla_violation_rate);
-    std::fprintf(f, "      \"p99_ms\": %.4f,\n", r.p99_ms);
-    std::fprintf(f, "      \"health_transitions\": %zu,\n",
-                 r.health_transitions);
-    std::fprintf(f, "      \"wall_ms\": %.1f,\n", r.wall_ms);
-    std::fprintf(f, "      \"per_service\": [\n");
-    for (size_t s = 0; s < r.services.size(); ++s) {
-        const sim::ServiceRunStats& svc = r.services[s];
-        std::fprintf(
-            f,
-            "        {\"model\": \"%s\", \"completed\": %zu, "
-            "\"rejected\": %zu, \"dropped\": %zu, "
-            "\"failed_inflight\": %zu, \"p99_ms\": %.4f, "
-            "\"sla_violations\": %zu, "
-            "\"sla_violation_rate\": %.6f}%s\n",
-            model::modelName(models[s]), svc.completed, svc.rejected,
-            svc.dropped, svc.failed_inflight, svc.p99_ms,
-            svc.sla_violations, svc.sla_violation_rate,
-            s + 1 < r.services.size() ? "," : "");
-    }
-    std::fprintf(f, "      ],\n");
-    bench::writeIntervalArrays(f, r.intervals);
-    std::fprintf(f, "  }%s\n", last ? "" : ",");
+    return r.serve.sim.intervals[i].services[svc].sla_violation_rate;
 }
 
 /**
@@ -166,30 +61,15 @@ writeArmJson(FILE* f, const ArmResult& r,
  * @return -1 when it never recovers inside the horizon.
  */
 int
-recoveryIntervals(const ArmResult& arm, const ArmResult& healthy,
-                  size_t svc, size_t crash_iv)
+recoveryIntervals(const scenario::ScenarioResult& arm,
+                  const scenario::ScenarioResult& healthy, size_t svc,
+                  size_t crash_iv)
 {
-    for (size_t i = crash_iv; i < arm.intervals.size(); ++i) {
-        double ref =
-            healthy.intervals[i].services[svc].sla_violation_rate;
-        if (arm.intervals[i].services[svc].sla_violation_rate <=
-            ref + kRecoveryTol)
+    for (size_t i = crash_iv; i < arm.serve.sim.intervals.size(); ++i)
+        if (violRate(arm, i, svc) <=
+            violRate(healthy, i, svc) + kRecoveryTol)
             return static_cast<int>(i - crash_iv);
-    }
     return -1;
-}
-
-/** Fast-mode deltas, identical per arm: shorter day, fewer probes. */
-void
-applyFastDeltas(scenario::ScenarioSpec& spec)
-{
-    spec.serve.horizon_hours = 12.0;
-    spec.serve.trace.time_compression = 960.0;
-    spec.profile.table_cache =
-        "hercules_efficiency_multiservice_fast.csv";
-    spec.profile.num_queries = 250;
-    spec.profile.warmup_queries = 50;
-    spec.profile.bisect_iters = 4;
 }
 
 }  // namespace
@@ -201,56 +81,37 @@ main()
                   "Shard crashes vs the self-healing serving loop vs "
                   "static over-provisioning");
 
-    scenario::ScenarioSpec selfheal_spec =
+    scenario::ScenarioSpec spec =
         bench::loadScenario("shard_crash_recovery.scn");
-    if (bench::fastMode())
-        applyFastDeltas(selfheal_spec);
-
-    scenario::ScenarioSpec healthy_spec = selfheal_spec;
-    healthy_spec.serve.faults = fault::FaultSpec{};
-
-    scenario::ScenarioSpec static_spec = selfheal_spec;
-    static_spec.serve.router = sim::RouterPolicy::HerculesWeighted;
-
-    core::EfficiencyTable table =
-        scenario::profileTable(selfheal_spec);
-    for (scenario::ScenarioSpec* spec :
-         {&selfheal_spec, &healthy_spec, &static_spec})
-        scenario::resolvePeaks(*spec, table);
-
-    const size_t S = selfheal_spec.services.size();
-    std::vector<model::ModelId> model_ids;
-    for (const scenario::ServiceScenario& s : selfheal_spec.services)
-        model_ids.push_back(s.spec.model);
-    for (size_t s = 0; s < S; ++s) {
-        if (selfheal_spec.services[s].spec.load.peak_qps <= 0.0) {
-            std::printf("%s infeasible on this fleet — abort\n",
-                        model::modelName(model_ids[s]));
-            return 1;
-        }
+    if (bench::fastMode()) {
+        // Fast-mode deltas, identical per arm: a shorter day.
+        spec.serve.horizon_hours = 12.0;
+        spec.serve.trace.time_compression = 960.0;
+        spec.profile.table_cache =
+            "hercules_efficiency_multiservice_fast.csv";
     }
+    bench::applyBenchProfile(spec);
 
-    // Shared over-provision rate (forecast ramp + tail headroom, as
-    // in bench_qos); the STATIC arm burns an extra kStaticExtraR on
-    // top at every interval — crash or no crash.
-    const double kTailHeadroom = 0.15;
-    double r_est = 0.0;
-    for (size_t s = 0; s < S; ++s)
-        r_est = std::max(
-            r_est, cluster::estimateOverprovisionRate(
-                       workload::DiurnalLoad(
-                           selfheal_spec.services[s].spec.load),
-                       selfheal_spec.serve.interval_hours,
-                       selfheal_spec.serve.horizon_hours));
-    const double r_shared = r_est + kTailHeadroom;
-    selfheal_spec.serve.overprovision_rate = r_shared;
-    healthy_spec.serve.overprovision_rate = r_shared;
-    static_spec.serve.overprovision_rate = r_shared + kStaticExtraR;
+    core::EfficiencyTable table = scenario::profileTable(spec);
+    scenario::resolvePeaks(spec, table);
+    if (!bench::servicesFeasible(spec))
+        return 1;
+
+    // Shared over-provision rate; the STATIC arm burns an extra
+    // kStaticExtraR on top at every interval — crash or no crash.
+    const double r_shared = bench::headroomOverprovisionRate(spec);
+    spec.serve.overprovision_rate = r_shared;
+
+    std::vector<bench::Arm> arms = {{"healthy", spec, {}},
+                                    {"selfheal", spec, {}},
+                                    {"static", spec, {}}};
+    arms[0].spec.serve.faults = fault::FaultSpec{};
+    arms[2].spec.serve.router = sim::RouterPolicy::HerculesWeighted;
+    arms[2].spec.serve.overprovision_rate = r_shared + kStaticExtraR;
 
     // The crash instant drives the recovery clock.
     double crash_hour = -1.0, repair_hour = -1.0;
-    for (const fault::FaultEvent& e :
-         selfheal_spec.serve.faults.events) {
+    for (const fault::FaultEvent& e : spec.serve.faults.events) {
         if (e.state == fault::HealthState::Failed &&
             (crash_hour < 0.0 || e.t_hours < crash_hour))
             crash_hour = e.t_hours;
@@ -258,120 +119,82 @@ main()
             (repair_hour < 0.0 || e.t_hours < repair_hour))
             repair_hour = e.t_hours;
     }
-    const size_t crash_iv = static_cast<size_t>(
-        crash_hour / selfheal_spec.serve.interval_hours);
+    const size_t crash_iv =
+        static_cast<size_t>(crash_hour / spec.serve.interval_hours);
 
     std::printf("horizon %.0fh, crash at %.1fh (repair %.1fh), R "
                 "%.1f%% (static arm %.1f%%), recovery budget %d "
                 "intervals\n\n",
-                selfheal_spec.serve.horizon_hours, crash_hour,
-                repair_hour, r_shared * 100.0,
-                (r_shared + kStaticExtraR) * 100.0,
+                spec.serve.horizon_hours, crash_hour, repair_hour,
+                r_shared * 100.0, (r_shared + kStaticExtraR) * 100.0,
                 kRecoveryIntervals);
 
-    ArmResult healthy = runArm("healthy", healthy_spec, table);
-    printArm(healthy, model_ids);
-    ArmResult selfheal = runArm("selfheal", selfheal_spec, table);
-    printArm(selfheal, model_ids);
-    ArmResult static_op = runArm("static", static_spec, table);
-    printArm(static_op, model_ids);
+    bench::runArms(arms, table);
+    bench::printArms(arms);
+    const scenario::ScenarioResult& healthy = arms[0].result;
+    const scenario::ScenarioResult& selfheal = arms[1].result;
+    const scenario::ScenarioResult& static_op = arms[2].result;
 
     // The high-priority service's trajectory through the outage.
-    {
-        TablePrinter t({"Hour", "Healthy viol", "Selfheal viol",
-                        "Static viol", "Selfheal kW", "Static kW"});
-        const double iv_h = selfheal_spec.serve.interval_hours;
-        size_t lo = crash_iv >= 2 ? crash_iv - 2 : 0;
-        size_t hi = std::min(selfheal.intervals.size(),
-                             crash_iv + 2 * static_cast<size_t>(
-                                            kRecoveryIntervals) +
-                                 2);
-        for (size_t i = lo; i < hi; ++i) {
-            t.addRow(
-                {fmtDouble(static_cast<double>(i) * iv_h, 1),
-                 fmtPercent(healthy.intervals[i]
-                                .services[0]
-                                .sla_violation_rate,
+    TablePrinter t({"Hour", "Healthy viol", "Selfheal viol",
+                    "Static viol", "Selfheal kW", "Static kW"});
+    const size_t lo = crash_iv >= 2 ? crash_iv - 2 : 0;
+    const size_t hi = std::min(
+        selfheal.serve.sim.intervals.size(),
+        crash_iv + 2 * static_cast<size_t>(kRecoveryIntervals) + 2);
+    for (size_t i = lo; i < hi; ++i) {
+        auto kw = [i](const scenario::ScenarioResult& r) {
+            return fmtDouble(
+                r.serve.sim.intervals[i].provisioned_power_w / 1e3, 3);
+        };
+        t.addRow({fmtDouble(static_cast<double>(i) *
+                                spec.serve.interval_hours,
                             1),
-                 fmtPercent(selfheal.intervals[i]
-                                .services[0]
-                                .sla_violation_rate,
-                            1),
-                 fmtPercent(static_op.intervals[i]
-                                .services[0]
-                                .sla_violation_rate,
-                            1),
-                 fmtDouble(
-                     selfheal.intervals[i].provisioned_power_w / 1e3,
-                     3),
-                 fmtDouble(
-                     static_op.intervals[i].provisioned_power_w / 1e3,
-                     3)});
-        }
-        t.print();
-        std::printf("\n");
+                  fmtPercent(violRate(healthy, i, 0), 1),
+                  fmtPercent(violRate(selfheal, i, 0), 1),
+                  fmtPercent(violRate(static_op, i, 0), 1),
+                  kw(selfheal), kw(static_op)});
     }
+    std::printf("\n");
+    t.print();
 
     // ---- the recovery gate --------------------------------------------
     const int rec_selfheal =
         recoveryIntervals(selfheal, healthy, 0, crash_iv);
     const int rec_static =
         recoveryIntervals(static_op, healthy, 0, crash_iv);
-    bool recovery_ok =
+    const bool recovery_ok =
         rec_selfheal >= 0 && rec_selfheal <= kRecoveryIntervals;
-    bool power_ok = selfheal.avg_provisioned_w <=
-                    static_op.avg_provisioned_w + 1e-6;
-    bool ok = recovery_ok && power_ok;
+    const double selfheal_w = selfheal.serve.sim.avg_provisioned_power_w;
+    const double static_w = static_op.serve.sim.avg_provisioned_power_w;
+    const bool power_ok = selfheal_w <= static_w + 1e-6;
+    const bool ok = recovery_ok && power_ok;
 
-    std::printf("self-healing recovery, high-priority %s: %s "
+    std::printf("\nself-healing recovery, high-priority %s: %s "
                 "(recovered in %d intervals, budget %d; static arm "
                 "%d)\n",
-                model::modelName(model_ids[0]),
+                model::modelName(spec.services[0].spec.model),
                 recovery_ok ? "PASS" : "FAIL", rec_selfheal,
                 kRecoveryIntervals, rec_static);
     std::printf("steady-state power, selfheal vs static: %s (%.3f vs "
                 "%.3f kW provisioned)\n",
-                power_ok ? "PASS" : "FAIL",
-                selfheal.avg_provisioned_w / 1e3,
-                static_op.avg_provisioned_w / 1e3);
+                power_ok ? "PASS" : "FAIL", selfheal_w / 1e3,
+                static_w / 1e3);
 
-    // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_faults.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenario\": \"%s\",\n",
-                     selfheal_spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     selfheal_spec.serve.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     selfheal_spec.serve.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     selfheal_spec.serve.trace.time_compression);
-        std::fprintf(f, "  \"crash_hour\": %.2f,\n", crash_hour);
-        std::fprintf(f, "  \"repair_hour\": %.2f,\n", repair_hour);
-        std::fprintf(f, "  \"overprovision_rate\": %.4f,\n", r_shared);
-        std::fprintf(f, "  \"static_overprovision_rate\": %.4f,\n",
-                     r_shared + kStaticExtraR);
-        std::fprintf(f, "  \"recovery_budget_intervals\": %d,\n",
-                     kRecoveryIntervals);
-        std::fprintf(f, "  \"recovery_intervals_selfheal\": %d,\n",
-                     rec_selfheal);
-        std::fprintf(f, "  \"recovery_intervals_static\": %d,\n",
-                     rec_static);
-        std::fprintf(f, "  \"recovery_ok\": %s,\n",
-                     recovery_ok ? "true" : "false");
-        std::fprintf(f, "  \"power_ok\": %s,\n",
-                     power_ok ? "true" : "false");
-        std::fprintf(f, "  \"selfheal_beats_static\": %s,\n",
-                     ok ? "true" : "false");
-        writeArmJson(f, healthy, model_ids, false);
-        writeArmJson(f, selfheal, model_ids, false);
-        writeArmJson(f, static_op, model_ids, true);
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_faults.json\n");
-    }
-
+    bench::writeArmsJson(
+        "BENCH_faults.json",
+        {{"crash_hour", fmtDouble(crash_hour, 2)},
+         {"repair_hour", fmtDouble(repair_hour, 2)},
+         {"overprovision_rate", fmtDouble(r_shared, 4)},
+         {"static_overprovision_rate",
+          fmtDouble(r_shared + kStaticExtraR, 4)},
+         {"recovery_budget_intervals",
+          std::to_string(kRecoveryIntervals)},
+         {"recovery_intervals_selfheal", std::to_string(rec_selfheal)},
+         {"recovery_intervals_static", std::to_string(rec_static)},
+         {"recovery_ok", bench::jsonBool(recovery_ok)},
+         {"power_ok", bench::jsonBool(power_ok)},
+         {"selfheal_beats_static", bench::jsonBool(ok)}},
+        arms);
     return ok ? 0 : 1;
 }

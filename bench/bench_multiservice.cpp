@@ -12,195 +12,51 @@
  *  - PARTITION: per-service static partitions — each service gets a
  *               dedicated slice of the fleet sized for its own peak
  *               (greedy best-QPS/W types first), always on, no
- *               cross-service sharing.
+ *               cross-service sharing. Its silos are summed into one
+ *               ScenarioResult named "<scenario>_partitioned" that
+ *               keeps the joint spec's knobs; its run-level p50/p99
+ *               and per-interval p99 are the max over silos.
  *
  * The gate: joint provisioning must use no more average provisioned
  * power than the static partitions at an equal-or-lower SLA-violation
  * rate — the Hercules premise that sharing a heterogeneity-aware
  * fleet across phase-shifted services beats static silos.
  *
- * Results land in BENCH_multiservice.json (per-service aggregates and
- * per-interval trajectories, dropped arrivals included).
+ * Results land in BENCH_multiservice.json, one result object per arm.
  *
  * Fast mode (HERCULES_BENCH_FAST=1): 2 services on T2+T3, 3h horizon.
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cluster/cluster_manager.h"
-#include "scenario/scenario.h"
+#include "obs/self_profile.h"
 #include "sim/prepared.h"
-#include "util/table.h"
 
 using namespace hercules;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/** Aggregate view of one scenario (joint run or summed partitions). */
-struct ScenarioView
+/**
+ * The PARTITION arm: each service gets a dedicated, always-on slice
+ * sized for its own peak * (1 + R): greedily the best remaining QPS/W
+ * types. The merged trace is replayed per partition (each service
+ * sees exactly the arrivals it saw in the joint run), and the silos
+ * are summed into one result shaped like the joint arm's.
+ */
+scenario::ScenarioResult
+runPartitions(const scenario::ScenarioSpec& spec,
+              const core::EfficiencyTable& table,
+              const scenario::ScenarioResult& joint)
 {
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double wall_ms = 0.0;
-    std::vector<sim::ServiceRunStats> services;
-    std::vector<sim::IntervalStats> intervals;
-};
-
-void
-printScenario(const char* name, const ScenarioView& r,
-              const std::vector<model::ModelId>& models)
-{
-    std::printf("%s:\n", name);
-    TablePrinter t({"Service", "Completed", "Dropped", "p50 (ms)",
-                    "p99 (ms)", "SLA (ms)", "SLA viol"});
-    for (size_t s = 0; s < r.services.size(); ++s) {
-        const sim::ServiceRunStats& svc = r.services[s];
-        t.addRow({model::modelName(models[s]),
-                  std::to_string(svc.completed),
-                  std::to_string(svc.dropped),
-                  fmtDouble(svc.p50_ms, 2), fmtDouble(svc.p99_ms, 2),
-                  fmtDouble(svc.sla_ms, 0),
-                  fmtPercent(svc.sla_violation_rate, 2)});
-    }
-    t.print();
-    std::printf("  avg power %.3f kW provisioned / %.3f kW consumed, "
-                "violation rate %.2f%%, p99 %.2f ms, wall %.0f ms\n\n",
-                r.avg_provisioned_w / 1e3, r.avg_consumed_w / 1e3,
-                r.sla_violation_rate * 100.0, r.p99_ms, r.wall_ms);
-}
-
-}  // namespace
-
-int
-main()
-{
-    bench::banner("Multi-service co-serving",
-                  "Phase-shifted services on one shared heterogeneous "
-                  "fleet: joint provisioning vs static partitions");
-
-    const bool fast = bench::fastMode();
-    scenario::ScenarioSpec spec =
-        bench::loadScenario("three_service_phase_shift.scn");
-    if (fast) {
-        // Smoke deltas: 2 services on a 3-slot T2+T3 fleet, peaks
-        // inside a 3h window, cheap profiling into the fast cache.
-        spec.fleet = {{hw::ServerType::T2, 2},
-                      {hw::ServerType::T3, 1}};
-        spec.services.resize(2);
-        for (size_t s = 0; s < spec.services.size(); ++s) {
-            scenario::ServiceScenario svc;
-            svc.spec.model = s == 0 ? model::ModelId::DlrmRmc1
-                                    : model::ModelId::DlrmRmc2;
-            svc.peak_qps_frac = 0.40;
-            svc.spec.load.trough_frac = 0.35;
-            svc.spec.load.peak_hour =
-                0.75 + 1.5 * static_cast<double>(s);
-            svc.spec.load.seed = 5 + s;
-            spec.services[s] = svc;
-        }
-        spec.serve.horizon_hours = 3.0;
-        spec.serve.trace.time_compression = 960.0;
-        spec.profile.table_cache =
-            "hercules_efficiency_multiservice_fast.csv";
-        spec.profile.num_queries = 250;
-        spec.profile.warmup_queries = 50;
-        spec.profile.bisect_iters = 4;
-    }
-
-    core::EfficiencyTable table = scenario::profileTable(spec);
-    scenario::resolvePeaks(spec, table);
-
     const size_t S = spec.services.size();
-    std::vector<model::ModelId> model_ids;
-    for (const scenario::ServiceScenario& s : spec.services)
-        model_ids.push_back(s.spec.model);
-
-    // Per-service full-fleet capacity (every slot serving only it).
-    std::vector<double> capacity(S, 0.0);
-    for (size_t s = 0; s < S; ++s) {
-        for (const scenario::FleetEntry& e : spec.fleet) {
-            const core::EfficiencyEntry* ent =
-                table.get(e.type, model_ids[s]);
-            if (ent != nullptr && ent->feasible)
-                capacity[s] += e.shard_slots * ent->qps;
-        }
-        std::printf("%s: %.0f QPS full-fleet capacity, SLA %.0f ms\n",
-                    model::modelName(model_ids[s]), capacity[s],
-                    model::buildModel(model_ids[s]).sla_ms);
-        if (capacity[s] <= 0.0) {
-            std::printf("service infeasible on this fleet — abort\n");
-            return 1;
-        }
-    }
-
-    std::printf("\nhorizon %.0fh, interval %.1fh, compression %.0fx, "
-                "%zu services, peaks at",
-                spec.serve.horizon_hours, spec.serve.interval_hours,
-                spec.serve.trace.time_compression, S);
-    for (size_t s = 0; s < S; ++s)
-        std::printf(" %.1fh", spec.services[s].spec.load.peak_hour);
-    std::printf("\n\n");
-
-    // Over-provision rate R: the curves' max inter-interval ramp plus
-    // tail headroom — the efficiency-tuple QPS is *latency-bounded*,
-    // so provisioning coverage at exactly load*(1+ramp) would run
-    // shards at the edge of their SLA. Both scenarios use the same R.
-    const double kTailHeadroom = 0.15;
-    double r_est = 0.0;
-    for (size_t s = 0; s < S; ++s)
-        r_est = std::max(
-            r_est,
-            cluster::estimateOverprovisionRate(
-                workload::DiurnalLoad(spec.services[s].spec.load),
-                spec.serve.interval_hours, spec.serve.horizon_hours));
-    if (!fast) {
-        // The fast smoke's 3h window never leaves the peak region; the
-        // extra headroom only reshuffles its LP assignment. Keep the
-        // internal ramp estimate there.
-        spec.serve.overprovision_rate = r_est + kTailHeadroom;
-        std::printf("over-provision rate R = %.1f%% (%.1f%% ramp + "
-                    "%.0f%% tail headroom)\n\n",
-                    spec.serve.overprovision_rate * 100.0,
-                    r_est * 100.0, kTailHeadroom * 100.0);
-    }
-
-    // ---- scenario 1: shared fleet, joint provisioning -----------------
-    scenario::ScenarioResult joint_run = scenario::run(spec, &table);
-    const cluster::MultiServeResult& joint = joint_run.serve;
-    ScenarioView jr;
-    jr.wall_ms = joint_run.serve_wall_ms;
-    jr.avg_provisioned_w = joint.sim.avg_provisioned_power_w;
-    jr.avg_consumed_w = joint.sim.avg_consumed_power_w;
-    jr.completed = joint.sim.completed;
-    jr.dropped = joint.sim.dropped;
-    jr.sla_violations = joint.sim.sla_violations;
-    jr.sla_violation_rate = joint.sim.sla_violation_rate;
-    jr.p99_ms = joint.sim.p99_ms;
-    jr.services = joint.sim.services;
-    jr.intervals = joint.sim.intervals;
-    printScenario("JOINT (shared fleet)", jr, model_ids);
-
-    // ---- scenario 2: static per-service partitions --------------------
-    // Each service gets a dedicated, always-on slice sized for its own
-    // peak * (1 + R): greedily the best remaining QPS/W types. The
-    // merged trace is replayed per partition (each service sees exactly
-    // the arrivals it saw in the joint run).
     std::vector<hw::ServerType> fleet;
-    std::vector<int> slots;
+    std::vector<int> remaining;
     for (const scenario::FleetEntry& e : spec.fleet) {
         fleet.push_back(e.type);
-        slots.push_back(e.shard_slots);
+        remaining.push_back(e.shard_slots);
     }
     const cluster::TraceServeOptions& opt = spec.serve;
     workload::TraceOptions topt = opt.trace;
@@ -218,18 +74,26 @@ main()
     const double horizon_s =
         opt.horizon_hours * 3600.0 / topt.time_compression;
 
-    Clock::time_point t0 = Clock::now();
-    std::vector<int> remaining = slots;
-    std::vector<model::Model> models;
-    models.reserve(S);
-    for (size_t s = 0; s < S; ++s)
-        models.push_back(model::buildModel(model_ids[s]));
+    obs::WallTimer timer;
+    scenario::ScenarioResult out;
+    out.resolved = spec;
+    out.resolved.name = spec.name + "_partitioned";
+    out.table = table;
+    cluster::MultiServeResult& pr = out.serve;
+    pr.trace_queries = merged.size();
+    pr.service_capacity_qps = joint.serve.service_capacity_qps;
+    pr.service_r = joint.serve.service_r;
+    pr.estimated_r = joint.serve.estimated_r;
+    sim::ClusterSimResult& agg = pr.sim;
+    agg.services.resize(S);
 
-    ScenarioView pr;
-    pr.services.resize(S);
-    double static_prov_w = 0.0;
-    size_t static_denom = 0;
-    OnlineStats static_p99;
+    std::vector<model::ModelId> model_ids;
+    std::vector<model::Model> models;
+    for (const scenario::ServiceScenario& s : spec.services) {
+        model_ids.push_back(s.spec.model);
+        models.push_back(model::buildModel(s.spec.model));
+    }
+
     // Partition sizing, two passes so a scarce fleet still gives every
     // silo at least one server: (1) each service claims one server of
     // its best QPS/W type; (2) greedy top-up, best types first, until
@@ -261,10 +125,11 @@ main()
             }
         }
     }
+    size_t denom = 0;
     for (size_t s = 0; s < S; ++s) {
         double part_r = opt.overprovision_rate >= 0.0
                             ? opt.overprovision_rate
-                            : joint.service_r[s];
+                            : joint.serve.service_r[s];
         double target =
             spec.services[s].spec.load.peak_qps * (1.0 + part_r);
         std::vector<int>& take = takes[s];
@@ -292,6 +157,7 @@ main()
         copt.sla_ms = opt.sla_ms;
         copt.service_sla_ms.assign(s + 1, 0.0);
         copt.service_sla_ms[s] = models[s].sla_ms;
+        pr.service_sla_ms.push_back(models[s].sla_ms);
         sim::ClusterSim part(copt);
         part.declareServices(static_cast<int>(s) + 1);
         std::vector<sim::PreparedWorkload> prepared;
@@ -305,6 +171,7 @@ main()
             for (int i = 0; i < take[h]; ++i)
                 part.addShard(prepared.back(), e->qps,
                               static_cast<int>(s));
+            pr.shard_slots += take[h];
         }
 
         std::vector<workload::Query> sub;
@@ -327,10 +194,10 @@ main()
 
         // Fold this partition's trajectory into the combined one (the
         // partitions share the interval grid; drain tails may differ).
-        if (pr.intervals.size() < rr.intervals.size())
-            pr.intervals.resize(rr.intervals.size());
+        if (agg.intervals.size() < rr.intervals.size())
+            agg.intervals.resize(rr.intervals.size());
         for (size_t k = 0; k < rr.intervals.size(); ++k) {
-            sim::IntervalStats& acc = pr.intervals[k];
+            sim::IntervalStats& acc = agg.intervals[k];
             const sim::IntervalStats& iv = rr.intervals[k];
             acc.t0_s = iv.t0_s;
             acc.t1_s = std::max(acc.t1_s, iv.t1_s);
@@ -348,14 +215,23 @@ main()
                       : 0.0;
         }
 
-        pr.services[s] = rr.services[static_cast<size_t>(s)];
-        pr.completed += rr.completed;
-        pr.dropped += rr.dropped;
-        pr.sla_violations += rr.sla_violations;
-        static_denom += rr.completed + rr.dropped;
-        static_prov_w += rr.avg_provisioned_power_w;
-        pr.avg_consumed_w += rr.avg_consumed_power_w;
-        static_p99.add(rr.p99_ms);
+        agg.services[s] = rr.services[s];
+        agg.injected += rr.injected;
+        agg.completed += rr.completed;
+        agg.dropped += rr.dropped;
+        agg.rejected += rr.rejected;
+        agg.failed_inflight += rr.failed_inflight;
+        agg.sla_violations += rr.sla_violations;
+        denom += rr.completed + rr.dropped + rr.rejected +
+                 rr.failed_inflight;
+        agg.avg_provisioned_power_w += rr.avg_provisioned_power_w;
+        agg.avg_consumed_power_w += rr.avg_consumed_power_w;
+        agg.p50_ms = std::max(agg.p50_ms, rr.p50_ms);
+        agg.p99_ms = std::max(agg.p99_ms, rr.p99_ms);
+        agg.des.events_executed += rr.des.events_executed;
+        agg.des.peak_event_queue_depth =
+            std::max(agg.des.peak_event_queue_depth,
+                     rr.des.peak_event_queue_depth);
         std::printf("  partition %s:", model::modelName(model_ids[s]));
         for (size_t h = 0; h < fleet.size(); ++h)
             if (take[h] > 0)
@@ -365,100 +241,94 @@ main()
                     target, part_power);
     }
     std::printf("\n");
-    pr.wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0)
-            .count();
-    pr.avg_provisioned_w = static_prov_w;
-    pr.sla_violation_rate =
-        static_denom > 0
-            ? static_cast<double>(pr.sla_violations) /
-                  static_cast<double>(static_denom)
-            : 0.0;
-    pr.p99_ms = static_p99.max();
-    printScenario("PARTITION (static per-service silos)", pr, model_ids);
+    agg.sla_violation_rate =
+        denom > 0 ? static_cast<double>(agg.sla_violations) /
+                        static_cast<double>(denom)
+                  : 0.0;
+    out.serve_wall_ms = timer.elapsedMs();
+    return out;
+}
+
+}  // namespace
+
+int
+main()
+{
+    bench::banner("Multi-service co-serving",
+                  "Phase-shifted services on one shared heterogeneous "
+                  "fleet: joint provisioning vs static partitions");
+
+    const bool fast = bench::fastMode();
+    scenario::ScenarioSpec spec =
+        bench::loadScenario("three_service_phase_shift.scn");
+    if (fast) {
+        // Smoke deltas: 2 services on a 3-slot T2+T3 fleet, peaks
+        // inside a 3h window, profiled into the fast cache.
+        spec.fleet = {{hw::ServerType::T2, 2},
+                      {hw::ServerType::T3, 1}};
+        spec.services.resize(2);
+        for (size_t s = 0; s < spec.services.size(); ++s) {
+            scenario::ServiceScenario svc;
+            svc.spec.model = s == 0 ? model::ModelId::DlrmRmc1
+                                    : model::ModelId::DlrmRmc2;
+            svc.peak_qps_frac = 0.40;
+            svc.spec.load.trough_frac = 0.35;
+            svc.spec.load.peak_hour =
+                0.75 + 1.5 * static_cast<double>(s);
+            svc.spec.load.seed = 5 + s;
+            spec.services[s] = svc;
+        }
+        spec.serve.horizon_hours = 3.0;
+        spec.serve.trace.time_compression = 960.0;
+        spec.profile.table_cache =
+            "hercules_efficiency_multiservice_fast.csv";
+    }
+    bench::applyBenchProfile(spec);
+
+    core::EfficiencyTable table = scenario::profileTable(spec);
+    scenario::resolvePeaks(spec, table);
+    if (!bench::servicesFeasible(spec))
+        return 1;
+
+    // Both arms use the same R. The fast smoke's 3h window never
+    // leaves the peak region; the extra headroom only reshuffles its
+    // LP assignment, so it keeps the internal ramp estimate.
+    if (!fast) {
+        spec.serve.overprovision_rate =
+            bench::headroomOverprovisionRate(spec);
+        std::printf("over-provision rate R = %.1f%%\n\n",
+                    spec.serve.overprovision_rate * 100.0);
+    }
+
+    std::vector<bench::Arm> arms = {{"joint", spec, {}}};
+    bench::runArms(arms, table);
+    arms.push_back(
+        {"partition", spec, runPartitions(spec, table, arms[0].result)});
+    bench::printArms(arms);
 
     // ---- the co-serving gate ------------------------------------------
-    bool power_ok =
-        jr.avg_provisioned_w <= pr.avg_provisioned_w + 1e-6;
-    bool sla_ok =
+    const sim::ClusterSimResult& jr = arms[0].result.serve.sim;
+    const sim::ClusterSimResult& pr = arms[1].result.serve.sim;
+    const bool power_ok =
+        jr.avg_provisioned_power_w <= pr.avg_provisioned_power_w + 1e-6;
+    const bool sla_ok =
         jr.sla_violation_rate <= pr.sla_violation_rate + 1e-12;
-    bool ok = power_ok && sla_ok;
-    std::printf("joint vs static partitions: %s (power %.3f vs %.3f "
+    const bool ok = power_ok && sla_ok;
+    std::printf("\njoint vs static partitions: %s (power %.3f vs %.3f "
                 "kW, violations %.3f%% vs %.3f%%)\n",
                 ok ? "DOMINATES" : "FAIL",
-                jr.avg_provisioned_w / 1e3, pr.avg_provisioned_w / 1e3,
+                jr.avg_provisioned_power_w / 1e3,
+                pr.avg_provisioned_power_w / 1e3,
                 jr.sla_violation_rate * 100.0,
                 pr.sla_violation_rate * 100.0);
 
-    // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_multiservice.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenario\": \"%s\",\n",
-                     spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     opt.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     opt.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     opt.trace.time_compression);
-        std::fprintf(f, "  \"num_services\": %zu,\n", S);
-        std::fprintf(f, "  \"joint_dominates_partitions\": %s,\n",
-                     ok ? "true" : "false");
-        std::fprintf(f, "  \"services\": [\n");
-        for (size_t s = 0; s < S; ++s) {
-            std::fprintf(
-                f,
-                "    {\"model\": \"%s\", \"peak_qps\": %.1f, "
-                "\"peak_hour\": %.2f, \"sla_ms\": %.2f, "
-                "\"capacity_qps\": %.1f, \"estimated_r\": %.4f}%s\n",
-                model::modelName(model_ids[s]),
-                spec.services[s].spec.load.peak_qps,
-                spec.services[s].spec.load.peak_hour,
-                joint.service_sla_ms[s], capacity[s],
-                joint.service_r[s], s + 1 < S ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        auto scenario_json = [&](const char* name,
-                                 const ScenarioView& r, bool last) {
-            std::fprintf(f, "  \"%s\": {\n", name);
-            std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                         r.avg_provisioned_w);
-            std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                         r.avg_consumed_w);
-            std::fprintf(f, "      \"completed\": %zu,\n", r.completed);
-            std::fprintf(f, "      \"dropped\": %zu,\n", r.dropped);
-            std::fprintf(f, "      \"sla_violations\": %zu,\n",
-                         r.sla_violations);
-            std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                         r.sla_violation_rate);
-            std::fprintf(f, "      \"p99_ms\": %.4f,\n", r.p99_ms);
-            std::fprintf(f, "      \"wall_ms\": %.1f,\n", r.wall_ms);
-            std::fprintf(f, "      \"per_service\": [\n");
-            for (size_t s = 0; s < r.services.size(); ++s) {
-                const sim::ServiceRunStats& svc = r.services[s];
-                std::fprintf(
-                    f,
-                    "        {\"model\": \"%s\", \"completed\": %zu, "
-                    "\"dropped\": %zu, \"p50_ms\": %.4f, "
-                    "\"p99_ms\": %.4f, \"sla_violation_rate\": "
-                    "%.6f}%s\n",
-                    model::modelName(model_ids[s]), svc.completed,
-                    svc.dropped, svc.p50_ms, svc.p99_ms,
-                    svc.sla_violation_rate,
-                    s + 1 < r.services.size() ? "," : "");
-            }
-            std::fprintf(f, "      ],\n");
-            bench::writeIntervalArrays(f, r.intervals);
-            std::fprintf(f, "  }%s\n", last ? "" : ",");
-        };
-        scenario_json("joint", jr, false);
-        scenario_json("partition", pr, true);
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_multiservice.json\n");
-    }
-
+    bench::writeArmsJson(
+        "BENCH_multiservice.json",
+        {{"overprovision_rate",
+          fmtDouble(spec.serve.overprovision_rate, 4)},
+         {"power_ok", bench::jsonBool(power_ok)},
+         {"sla_ok", bench::jsonBool(sla_ok)},
+         {"joint_dominates_partitions", bench::jsonBool(ok)}},
+        arms);
     return ok ? 0 : 1;
 }

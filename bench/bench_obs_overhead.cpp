@@ -8,27 +8,27 @@
  *  - METRICS: metrics registry sampling + export, no per-query trace;
  *  - TRACE:   full per-query tracing (sample rate 1.0) + metrics.
  *
- * Two gates:
+ * The three arms run interleaved for kRounds rounds, so machine noise
+ * lands on every arm alike. Two gates:
  *
- *  1. Determinism — all three arms must report bit-identical simulated
- *     statistics (completed/dropped/rejected counts, p99, violation
- *     rate, power). Telemetry observes the DES; it must never perturb
- *     it. Any mismatch exits non-zero.
- *  2. Overhead — the TRACE arm's serve wall time must stay within
- *     kMaxTraceOverhead of OFF. Skipped when the baseline runs too
- *     fast for a stable ratio (kMinGateWallMs).
+ *  1. Determinism — every arm of every round must report bit-identical
+ *     simulated statistics (completed/dropped/rejected/killed counts,
+ *     p99, violation rate, power, DES events). Telemetry observes the
+ *     DES; it must never perturb it. Any mismatch exits non-zero.
+ *  2. Overhead — the TRACE arm's median serve wall time must stay
+ *     within kMaxTraceOverhead of OFF's median. Skipped when the
+ *     baseline runs too fast for a stable ratio (kMinGateWallMs).
  *
- * Results land in BENCH_obs.json. Fast mode (HERCULES_BENCH_FAST=1):
- * 6h horizon, reduced profiling probes.
+ * Results land in BENCH_obs.json, one result object per arm and
+ * round, written before the exit status is decided. Fast mode
+ * (HERCULES_BENCH_FAST=1): 6h horizon, reduced profiling probes.
  */
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "scenario/scenario.h"
-#include "util/table.h"
 
 using namespace hercules;
 
@@ -38,23 +38,8 @@ namespace {
 constexpr double kMaxTraceOverhead = 1.15;
 /** Below this OFF wall time the overhead ratio is noise: skip gate. */
 constexpr double kMinGateWallMs = 200.0;
-
-struct ArmResult
-{
-    std::string name;
-    double serve_wall_ms = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t rejected = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    uint64_t des_events = 0;
-    double des_events_per_sec = 0.0;
-    size_t trace_records = 0;
-};
+/** Interleaved off/metrics/trace rounds the wall gate takes medians of. */
+constexpr int kRounds = 3;
 
 /** Count newline-terminated records of a JSONL file; 0 when absent. */
 size_t
@@ -72,103 +57,49 @@ countLines(const std::string& path)
     return n;
 }
 
-ArmResult
-runArm(const std::string& name, const scenario::ScenarioSpec& spec,
-       const core::EfficiencyTable& table)
-{
-    scenario::ScenarioResult r = scenario::run(spec, &table);
-    ArmResult out;
-    out.name = name;
-    out.serve_wall_ms = r.serve_wall_ms;
-    out.completed = r.serve.sim.completed;
-    out.dropped = r.serve.sim.dropped;
-    out.rejected = r.serve.sim.rejected;
-    out.sla_violations = r.serve.sim.sla_violations;
-    out.sla_violation_rate = r.serve.sim.sla_violation_rate;
-    out.p99_ms = r.serve.sim.p99_ms;
-    out.avg_provisioned_w = r.serve.sim.avg_provisioned_power_w;
-    out.avg_consumed_w = r.serve.sim.avg_consumed_power_w;
-    out.des_events = r.serve.sim.des.events_executed;
-    out.des_events_per_sec = r.serve.sim.des.events_per_sec;
-    if (!spec.observability.trace_file.empty())
-        out.trace_records = countLines(spec.observability.trace_file);
-    return out;
-}
-
 /** @return mismatch description, empty when the arms agree exactly. */
 std::string
-compareArms(const ArmResult& a, const ArmResult& b)
+compareArms(const bench::Arm& x, const bench::Arm& y)
 {
-    char buf[160];
-    auto fail = [&](const char* what) {
-        std::snprintf(buf, sizeof(buf), "%s differs between %s and %s",
-                      what, a.name.c_str(), b.name.c_str());
-        return std::string(buf);
-    };
+    const sim::ClusterSimResult& a = x.result.serve.sim;
+    const sim::ClusterSimResult& b = y.result.serve.sim;
+    const char* what = nullptr;
     if (a.completed != b.completed)
-        return fail("completed");
-    if (a.dropped != b.dropped)
-        return fail("dropped");
-    if (a.rejected != b.rejected)
-        return fail("rejected");
-    if (a.sla_violations != b.sla_violations)
-        return fail("sla_violations");
-    if (a.p99_ms != b.p99_ms)
-        return fail("p99_ms");
-    if (a.sla_violation_rate != b.sla_violation_rate)
-        return fail("sla_violation_rate");
-    if (a.avg_provisioned_w != b.avg_provisioned_w)
-        return fail("avg_provisioned_power_w");
-    if (a.avg_consumed_w != b.avg_consumed_w)
-        return fail("avg_consumed_power_w");
-    if (a.des_events != b.des_events)
-        return fail("des_events_executed");
-    return "";
+        what = "completed";
+    else if (a.dropped != b.dropped)
+        what = "dropped";
+    else if (a.rejected != b.rejected)
+        what = "rejected";
+    else if (a.failed_inflight != b.failed_inflight)
+        what = "failed_inflight";
+    else if (a.sla_violations != b.sla_violations)
+        what = "sla_violations";
+    else if (a.p99_ms != b.p99_ms)
+        what = "p99_ms";
+    else if (a.sla_violation_rate != b.sla_violation_rate)
+        what = "sla_violation_rate";
+    else if (a.avg_provisioned_power_w != b.avg_provisioned_power_w)
+        what = "avg_provisioned_power_w";
+    else if (a.avg_consumed_power_w != b.avg_consumed_power_w)
+        what = "avg_consumed_power_w";
+    else if (a.des.events_executed != b.des.events_executed)
+        what = "des_events_executed";
+    if (what == nullptr)
+        return "";
+    return std::string(what) + " differs between " + x.name + " and " +
+           y.name;
 }
 
-void
-writeJson(const std::vector<ArmResult>& arms, bool gated,
-          double overhead_frac)
+/** @return the median serve wall time of the arms named `kind`/N. */
+double
+medianWallMs(const std::vector<bench::Arm>& arms, const std::string& kind)
 {
-    const char* path = "BENCH_obs.json";
-    FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "bench: cannot open %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n");
-    bench::writeJsonProvenance(f);
-    std::fprintf(f, "  \"experiment\": \"obs_overhead\",\n");
-    std::fprintf(f, "  \"scenario\": \"three_service_phase_shift\",\n");
-    std::fprintf(f, "  \"bit_identical\": true,\n");
-    std::fprintf(f, "  \"overhead_gated\": %s,\n",
-                 gated ? "true" : "false");
-    std::fprintf(f, "  \"trace_overhead_frac\": %.4f,\n", overhead_frac);
-    std::fprintf(f, "  \"arms\": [\n");
-    for (size_t i = 0; i < arms.size(); ++i) {
-        const ArmResult& a = arms[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"name\": \"%s\",\n", a.name.c_str());
-        std::fprintf(f, "      \"serve_wall_ms\": %.1f,\n",
-                     a.serve_wall_ms);
-        std::fprintf(f, "      \"completed\": %zu,\n", a.completed);
-        std::fprintf(f, "      \"dropped\": %zu,\n", a.dropped);
-        std::fprintf(f, "      \"rejected\": %zu,\n", a.rejected);
-        std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                     a.sla_violation_rate);
-        std::fprintf(f, "      \"p99_ms\": %.4f,\n", a.p99_ms);
-        std::fprintf(f, "      \"des_events_executed\": %llu,\n",
-                     static_cast<unsigned long long>(a.des_events));
-        std::fprintf(f, "      \"des_events_per_sec\": %.0f,\n",
-                     a.des_events_per_sec);
-        std::fprintf(f, "      \"trace_records\": %zu\n",
-                     a.trace_records);
-        std::fprintf(f, "    }%s\n", i + 1 < arms.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    std::vector<double> walls;
+    for (const bench::Arm& a : arms)
+        if (a.name.rfind(kind + "/", 0) == 0)
+            walls.push_back(a.result.serve_wall_ms);
+    std::sort(walls.begin(), walls.end());
+    return walls[walls.size() / 2];
 }
 
 }  // namespace
@@ -185,75 +116,79 @@ main()
     if (bench::fastMode()) {
         base.serve.horizon_hours = 6.0;
         base.profile.table_cache = "hercules_efficiency_obs_fast.csv";
-        base.profile.num_queries = 250;
-        base.profile.warmup_queries = 50;
-        base.profile.bisect_iters = 4;
     }
+    bench::applyBenchProfile(base);
 
     core::EfficiencyTable table = scenario::profileTable(base);
-
-    scenario::ScenarioSpec off = base;
 
     scenario::ScenarioSpec metrics = base;
     metrics.observability.metrics_file = "obs_overhead_metrics.csv";
 
-    scenario::ScenarioSpec trace = base;
-    trace.observability.metrics_file = "obs_overhead_metrics.csv";
+    scenario::ScenarioSpec trace = metrics;
     trace.observability.trace_file = "obs_overhead_trace.jsonl";
     trace.observability.sample_rate = 1.0;
 
-    std::vector<ArmResult> arms;
-    arms.push_back(runArm("off", off, table));
-    arms.push_back(runArm("metrics", metrics, table));
-    arms.push_back(runArm("trace", trace, table));
-
-    TablePrinter t({"Arm", "Wall (ms)", "Completed", "p99 (ms)",
-                    "Viol rate", "Trace recs"});
-    for (const ArmResult& a : arms)
-        t.addRow({a.name, fmtDouble(a.serve_wall_ms, 1),
-                  std::to_string(a.completed), fmtDouble(a.p99_ms, 2),
-                  fmtPercent(a.sla_violation_rate, 2),
-                  std::to_string(a.trace_records)});
-    t.print();
-
-    // Gate 1: telemetry must not perturb the simulation.
-    for (size_t i = 1; i < arms.size(); ++i) {
-        std::string diff = compareArms(arms[0], arms[i]);
-        if (!diff.empty()) {
-            std::fprintf(stderr,
-                         "FAIL: telemetry perturbed the simulation: "
-                         "%s\n",
-                         diff.c_str());
-            return 1;
-        }
+    std::vector<bench::Arm> arms;
+    for (int round = 1; round <= kRounds; ++round) {
+        const std::string n = "/" + std::to_string(round);
+        arms.push_back({"off" + n, base, {}});
+        arms.push_back({"metrics" + n, metrics, {}});
+        arms.push_back({"trace" + n, trace, {}});
     }
-    std::printf("\nall arms bit-identical on simulated statistics\n");
+    bench::runArms(arms, table);
+    bench::printArms(arms);
+    const size_t trace_records = countLines(trace.observability.trace_file);
+    std::printf("trace records per traced run: %zu\n", trace_records);
+
+    // Gate 1: telemetry must not perturb the simulation, in any round.
+    std::string diff;
+    for (size_t i = 1; i < arms.size() && diff.empty(); ++i)
+        diff = compareArms(arms[0], arms[i]);
+    const bool identical = diff.empty();
+    if (identical)
+        std::printf("\nall arms bit-identical on simulated statistics\n");
+    else
+        std::fprintf(stderr,
+                     "FAIL: telemetry perturbed the simulation: %s\n",
+                     diff.c_str());
 
     // Gate 2: full tracing stays cheap. The ratio is only meaningful
     // once the baseline wall time dominates timer noise.
-    double base_wall = arms[0].serve_wall_ms;
-    double trace_wall = arms[2].serve_wall_ms;
-    double overhead =
-        base_wall > 0.0 ? trace_wall / base_wall - 1.0 : 0.0;
-    bool gated = base_wall >= kMinGateWallMs;
-    if (gated) {
-        std::printf("tracing overhead %.1f%% (budget %.0f%%)\n",
-                    overhead * 100.0, (kMaxTraceOverhead - 1.0) * 100.0);
-        if (trace_wall > base_wall * kMaxTraceOverhead) {
-            std::fprintf(stderr,
-                         "FAIL: tracing overhead %.1f%% exceeds "
-                         "%.0f%% budget (off %.1f ms, trace %.1f ms)\n",
-                         overhead * 100.0,
-                         (kMaxTraceOverhead - 1.0) * 100.0, base_wall,
-                         trace_wall);
-            return 1;
-        }
-    } else {
-        std::printf("baseline wall %.1f ms < %.0f ms: overhead gate "
-                    "skipped (ratio would be timer noise)\n",
-                    base_wall, kMinGateWallMs);
-    }
+    const double off_wall = medianWallMs(arms, "off");
+    const double metrics_wall = medianWallMs(arms, "metrics");
+    const double trace_wall = medianWallMs(arms, "trace");
+    const double overhead =
+        off_wall > 0.0 ? trace_wall / off_wall - 1.0 : 0.0;
+    const bool gated = off_wall >= kMinGateWallMs;
+    const bool overhead_ok =
+        !gated || trace_wall <= off_wall * kMaxTraceOverhead;
+    if (!gated)
+        std::printf("median baseline wall %.1f ms < %.0f ms: overhead "
+                    "gate skipped (ratio would be timer noise)\n",
+                    off_wall, kMinGateWallMs);
+    else if (overhead_ok)
+        std::printf("tracing overhead %.1f%% on medians of %d rounds "
+                    "(budget %.0f%%)\n",
+                    overhead * 100.0, kRounds,
+                    (kMaxTraceOverhead - 1.0) * 100.0);
+    else
+        std::fprintf(stderr,
+                     "FAIL: tracing overhead %.1f%% exceeds %.0f%% "
+                     "budget (median off %.1f ms, trace %.1f ms)\n",
+                     overhead * 100.0, (kMaxTraceOverhead - 1.0) * 100.0,
+                     off_wall, trace_wall);
 
-    writeJson(arms, gated, overhead);
-    return 0;
+    bench::writeArmsJson(
+        "BENCH_obs.json",
+        {{"rounds", std::to_string(kRounds)},
+         {"bit_identical", bench::jsonBool(identical)},
+         {"trace_records", std::to_string(trace_records)},
+         {"median_serve_wall_ms_off", fmtDouble(off_wall, 1)},
+         {"median_serve_wall_ms_metrics", fmtDouble(metrics_wall, 1)},
+         {"median_serve_wall_ms_trace", fmtDouble(trace_wall, 1)},
+         {"overhead_gated", bench::jsonBool(gated)},
+         {"trace_overhead_frac", fmtDouble(overhead, 4)},
+         {"overhead_ok", bench::jsonBool(overhead_ok)}},
+        arms);
+    return identical && overhead_ok ? 0 : 1;
 }

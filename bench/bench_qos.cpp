@@ -26,128 +26,22 @@
  * and mean-provisioning the deadline-relaxed service.
  *
  * All three scenarios replay bitwise-identical merged traces (same
- * specs, seeds and surge). Results land in BENCH_qos.json.
+ * specs, seeds and surge). Results land in BENCH_qos.json, one result
+ * object per arm.
  *
  * Fast mode (HERCULES_BENCH_FAST=1): 2 services on T2+T3, 18h horizon.
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cluster/cluster_manager.h"
-#include "scenario/scenario.h"
-#include "util/table.h"
 
 using namespace hercules;
 
 namespace {
-
-/** One scenario arm's aggregate view. */
-struct ArmResult
-{
-    std::string name;
-    double avg_provisioned_w = 0.0;
-    double avg_consumed_w = 0.0;
-    size_t completed = 0;
-    size_t dropped = 0;
-    size_t rejected = 0;
-    size_t admission_retries = 0;
-    size_t sla_violations = 0;
-    double sla_violation_rate = 0.0;
-    double p99_ms = 0.0;
-    double wall_ms = 0.0;
-    std::vector<sim::ServiceRunStats> services;
-    std::vector<sim::IntervalStats> intervals;
-};
-
-ArmResult
-runArm(const std::string& name, const scenario::ScenarioSpec& spec,
-       const core::EfficiencyTable& table)
-{
-    scenario::ScenarioResult r = scenario::run(spec, &table);
-    ArmResult out;
-    out.name = name;
-    out.wall_ms = r.serve_wall_ms;
-    out.avg_provisioned_w = r.serve.sim.avg_provisioned_power_w;
-    out.avg_consumed_w = r.serve.sim.avg_consumed_power_w;
-    out.completed = r.serve.sim.completed;
-    out.dropped = r.serve.sim.dropped;
-    out.rejected = r.serve.sim.rejected;
-    out.admission_retries = r.serve.sim.admission_retries;
-    out.sla_violations = r.serve.sim.sla_violations;
-    out.sla_violation_rate = r.serve.sim.sla_violation_rate;
-    out.p99_ms = r.serve.sim.p99_ms;
-    out.services = r.serve.sim.services;
-    out.intervals = r.serve.sim.intervals;
-    return out;
-}
-
-void
-printArm(const ArmResult& r, const std::vector<model::ModelId>& models)
-{
-    std::printf("%s:\n", r.name.c_str());
-    TablePrinter t({"Service", "Completed", "Rejected", "Dropped",
-                    "p99 (ms)", "SLA (ms)", "Viol rate"});
-    for (size_t s = 0; s < r.services.size(); ++s) {
-        const sim::ServiceRunStats& svc = r.services[s];
-        t.addRow({model::modelName(models[s]),
-                  std::to_string(svc.completed),
-                  std::to_string(svc.rejected),
-                  std::to_string(svc.dropped),
-                  fmtDouble(svc.p99_ms, 2), fmtDouble(svc.sla_ms, 0),
-                  fmtPercent(svc.sla_violation_rate, 2)});
-    }
-    t.print();
-    std::printf("  avg power %.3f kW provisioned / %.3f kW consumed, "
-                "violation rate %.2f%%, p99 %.2f ms, retries %zu, "
-                "wall %.0f ms\n\n",
-                r.avg_provisioned_w / 1e3, r.avg_consumed_w / 1e3,
-                r.sla_violation_rate * 100.0, r.p99_ms,
-                r.admission_retries, r.wall_ms);
-}
-
-void
-writeArmJson(FILE* f, const ArmResult& r,
-             const std::vector<model::ModelId>& models, bool last)
-{
-    std::fprintf(f, "  \"%s\": {\n", r.name.c_str());
-    std::fprintf(f, "      \"avg_provisioned_power_w\": %.2f,\n",
-                 r.avg_provisioned_w);
-    std::fprintf(f, "      \"avg_consumed_power_w\": %.2f,\n",
-                 r.avg_consumed_w);
-    std::fprintf(f, "      \"completed\": %zu,\n", r.completed);
-    std::fprintf(f, "      \"rejected\": %zu,\n", r.rejected);
-    std::fprintf(f, "      \"admission_retries\": %zu,\n",
-                 r.admission_retries);
-    std::fprintf(f, "      \"dropped\": %zu,\n", r.dropped);
-    std::fprintf(f, "      \"sla_violations\": %zu,\n",
-                 r.sla_violations);
-    std::fprintf(f, "      \"sla_violation_rate\": %.6f,\n",
-                 r.sla_violation_rate);
-    std::fprintf(f, "      \"p99_ms\": %.4f,\n", r.p99_ms);
-    std::fprintf(f, "      \"wall_ms\": %.1f,\n", r.wall_ms);
-    std::fprintf(f, "      \"per_service\": [\n");
-    for (size_t s = 0; s < r.services.size(); ++s) {
-        const sim::ServiceRunStats& svc = r.services[s];
-        std::fprintf(
-            f,
-            "        {\"model\": \"%s\", \"completed\": %zu, "
-            "\"rejected\": %zu, \"dropped\": %zu, \"p50_ms\": %.4f, "
-            "\"p99_ms\": %.4f, \"sla_violations\": %zu, "
-            "\"sla_violation_rate\": %.6f}%s\n",
-            model::modelName(models[s]), svc.completed, svc.rejected,
-            svc.dropped, svc.p50_ms, svc.p99_ms, svc.sla_violations,
-            svc.sla_violation_rate,
-            s + 1 < r.services.size() ? "," : "");
-    }
-    std::fprintf(f, "      ],\n");
-    bench::writeIntervalArrays(f, r.intervals);
-    std::fprintf(f, "  }%s\n", last ? "" : ",");
-}
 
 /**
  * Fast-mode deltas, applied identically to every arm so the three
@@ -187,92 +81,46 @@ applyFastDeltas(scenario::ScenarioSpec& spec, bool qos_on)
     spec.serve.trace.time_compression = 960.0;
     spec.profile.table_cache =
         "hercules_efficiency_multiservice_fast.csv";
-    spec.profile.num_queries = 250;
-    spec.profile.warmup_queries = 50;
-    spec.profile.bisect_iters = 4;
 }
 
-}  // namespace
-
-int
-main()
+/**
+ * The aggressive power cap: sweep the forecast interval grid with the
+ * Hercules provisioner at rate `r`, find the hungriest interval's
+ * requested power, and set the cap half of that interval's cheapest
+ * allocated server *below* it. Whole servers are then shed exactly
+ * when the fleet is fullest — which is the surge window, since it
+ * rides service 0's peak — without dipping into shed-to-empty
+ * territory.
+ */
+double
+powerCapBelowPeak(const scenario::ScenarioSpec& spec,
+                  const core::EfficiencyTable& table, double r)
 {
-    bench::banner("QoS under overload",
-                  "Deadline admission + priority shedding + feedback "
-                  "routing vs the pre-QoS stack on a surge + power cap");
-
-    const bool fast = bench::fastMode();
-    scenario::ScenarioSpec base =
-        bench::loadScenario("flash_crowd_surge.scn");
-    scenario::ScenarioSpec qos_spec =
-        bench::loadScenario("priority_tiered_qos.scn");
-    scenario::ScenarioSpec fb_spec =
-        bench::loadScenario("feedback_router.scn");
-    if (fast) {
-        applyFastDeltas(base, false);
-        applyFastDeltas(qos_spec, true);
-        applyFastDeltas(fb_spec, true);
-    }
-
-    core::EfficiencyTable table = scenario::profileTable(base);
-    scenario::resolvePeaks(base, table);
-    scenario::resolvePeaks(qos_spec, table);
-    scenario::resolvePeaks(fb_spec, table);
-
-    const size_t S = base.services.size();
-    std::vector<model::ModelId> model_ids;
     std::vector<hw::ServerType> fleet;
     std::vector<int> slots;
-    for (const scenario::ServiceScenario& s : base.services)
-        model_ids.push_back(s.spec.model);
-    for (const scenario::FleetEntry& e : base.fleet) {
+    for (const scenario::FleetEntry& e : spec.fleet) {
         fleet.push_back(e.type);
         slots.push_back(e.shard_slots);
     }
-    for (size_t s = 0; s < S; ++s) {
-        if (base.services[s].spec.load.peak_qps <= 0.0) {
-            std::printf("%s infeasible on this fleet — abort\n",
-                        model::modelName(model_ids[s]));
-            return 1;
-        }
+    std::vector<model::ModelId> model_ids;
+    std::vector<workload::DiurnalLoad> curves;
+    for (const scenario::ServiceScenario& s : spec.services) {
+        model_ids.push_back(s.spec.model);
+        curves.emplace_back(s.spec.load);
     }
-
-    // Over-provision rate (forecast ramp + tail headroom, as in
-    // bench_multiservice) — shared by all arms.
-    const double kTailHeadroom = 0.15;
-    double r_est = 0.0;
-    for (size_t s = 0; s < S; ++s)
-        r_est = std::max(
-            r_est,
-            cluster::estimateOverprovisionRate(
-                workload::DiurnalLoad(base.services[s].spec.load),
-                base.serve.interval_hours, base.serve.horizon_hours));
-    const double r_shared = r_est + kTailHeadroom;
-
-    // The aggressive power cap: sweep the forecast interval grid with
-    // the same provisioner, find the hungriest interval's requested
-    // power, and set the cap half of that interval's cheapest
-    // allocated server *below* it. Whole servers are then shed exactly
-    // when the fleet is fullest — which is the surge window, since it
-    // rides service 0's peak — without dipping into shed-to-empty
-    // territory.
     cluster::ProvisionProblem problem =
         cluster::ProvisionProblem::fromTable(table, fleet, model_ids,
                                              slots);
     cluster::HerculesProvisioner capref;
-    std::vector<workload::DiurnalLoad> cap_curves;
-    for (size_t s = 0; s < S; ++s)
-        cap_curves.emplace_back(base.services[s].spec.load);
     double peak_power = 0.0;
     double cheapest_at_peak =
         std::numeric_limits<double>::infinity();
-    for (double t = 0.0; t < base.serve.horizon_hours;
-         t += base.serve.interval_hours) {
+    for (double t = 0.0; t < spec.serve.horizon_hours;
+         t += spec.serve.interval_hours) {
         std::vector<double> loads_t;
-        for (size_t s = 0; s < S; ++s)
-            loads_t.push_back(cap_curves[s].forecastAt(t));
-        cluster::Allocation alloc =
-            capref.provision(problem, loads_t, r_shared);
+        for (const workload::DiurnalLoad& c : curves)
+            loads_t.push_back(c.forecastAt(t));
+        cluster::Allocation alloc = capref.provision(problem, loads_t, r);
         double p = alloc.provisionedPowerW(problem);
         if (p > peak_power) {
             peak_power = p;
@@ -287,99 +135,84 @@ main()
                             problem.perf(h, m).power_w);
         }
     }
-    const double cap_w = peak_power - 0.5 * cheapest_at_peak;
+    return peak_power - 0.5 * cheapest_at_peak;
+}
+
+}  // namespace
+
+int
+main()
+{
+    bench::banner("QoS under overload",
+                  "Deadline admission + priority shedding + feedback "
+                  "routing vs the pre-QoS stack on a surge + power cap");
+
+    std::vector<bench::Arm> arms = {
+        {"baseline", bench::loadScenario("flash_crowd_surge.scn"), {}},
+        {"qos", bench::loadScenario("priority_tiered_qos.scn"), {}},
+        {"qos_feedback", bench::loadScenario("feedback_router.scn"), {}}};
+    for (size_t i = 0; i < arms.size(); ++i) {
+        if (bench::fastMode())
+            applyFastDeltas(arms[i].spec, i > 0);
+        bench::applyBenchProfile(arms[i].spec);
+    }
+
+    core::EfficiencyTable table = scenario::profileTable(arms[0].spec);
+    for (bench::Arm& a : arms)
+        scenario::resolvePeaks(a.spec, table);
+    const scenario::ScenarioSpec& base = arms[0].spec;
+    if (!bench::servicesFeasible(base))
+        return 1;
 
     // The computed knobs are the only non-file deltas, shared by all
     // arms so the comparison isolates the QoS policies themselves.
-    for (scenario::ScenarioSpec* spec : {&base, &qos_spec, &fb_spec}) {
-        spec->serve.overprovision_rate = r_shared;
-        spec->serve.power_cap_w = cap_w;
+    const double r_shared = bench::headroomOverprovisionRate(base);
+    const double cap_w = powerCapBelowPeak(base, table, r_shared);
+    for (bench::Arm& a : arms) {
+        a.spec.serve.overprovision_rate = r_shared;
+        a.spec.serve.power_cap_w = cap_w;
     }
 
-    const double surge_hour = base.services[0].spec.load.surge_hour;
-    const double surge_hours = base.services[0].spec.load.surge_hours;
+    const workload::DiurnalConfig& load = base.services[0].spec.load;
     std::printf("horizon %.0fh, surge %.1fx in [%.1fh, %.1fh), power "
                 "cap %.3f kW, R %.1f%%\n\n",
-                base.serve.horizon_hours,
-                base.services[0].spec.load.surge_factor, surge_hour,
-                surge_hour + surge_hours, cap_w / 1e3,
-                r_shared * 100.0);
+                base.serve.horizon_hours, load.surge_factor,
+                load.surge_hour, load.surge_hour + load.surge_hours,
+                cap_w / 1e3, r_shared * 100.0);
 
-    // ---- the three arms -----------------------------------------------
-    ArmResult baseline = runArm("baseline", base, table);
-    printArm(baseline, model_ids);
-    ArmResult qos_run = runArm("qos", qos_spec, table);
-    printArm(qos_run, model_ids);
-    ArmResult fb_run = runArm("qos_feedback", fb_spec, table);
-    printArm(fb_run, model_ids);
+    bench::runArms(arms, table);
+    bench::printArms(arms);
 
     // ---- the QoS gate --------------------------------------------------
-    const sim::ServiceRunStats& hi_base = baseline.services[0];
-    const sim::ServiceRunStats& hi_qos = qos_run.services[0];
-    bool sla_ok =
-        hi_qos.sla_violation_rate < hi_base.sla_violation_rate;
-    bool power_ok =
-        qos_run.avg_provisioned_w <= baseline.avg_provisioned_w + 1e-6;
-    bool ok = sla_ok && power_ok;
-    std::printf("qos vs baseline, high-priority %s: %s "
+    const sim::ClusterSimResult& b = arms[0].result.serve.sim;
+    const sim::ClusterSimResult& q = arms[1].result.serve.sim;
+    const sim::ClusterSimResult& fb = arms[2].result.serve.sim;
+    const bool sla_ok = q.services[0].sla_violation_rate <
+                        b.services[0].sla_violation_rate;
+    const bool power_ok =
+        q.avg_provisioned_power_w <= b.avg_provisioned_power_w + 1e-6;
+    const bool ok = sla_ok && power_ok;
+    std::printf("\nqos vs baseline, high-priority %s: %s "
                 "(violation+drop rate %.3f%% vs %.3f%%, avg power "
                 "%.3f vs %.3f kW)\n",
-                model::modelName(model_ids[0]), ok ? "WINS" : "FAIL",
-                hi_qos.sla_violation_rate * 100.0,
-                hi_base.sla_violation_rate * 100.0,
-                qos_run.avg_provisioned_w / 1e3,
-                baseline.avg_provisioned_w / 1e3);
+                model::modelName(base.services[0].spec.model),
+                ok ? "WINS" : "FAIL",
+                q.services[0].sla_violation_rate * 100.0,
+                b.services[0].sla_violation_rate * 100.0,
+                q.avg_provisioned_power_w / 1e3,
+                b.avg_provisioned_power_w / 1e3);
     std::printf("router head-to-head under QoS, cluster-wide: "
                 "hercules %.3f%% vs latency-feedback %.3f%% violations "
                 "(p99 %.2f vs %.2f ms)\n",
-                qos_run.sla_violation_rate * 100.0,
-                fb_run.sla_violation_rate * 100.0, qos_run.p99_ms,
-                fb_run.p99_ms);
+                q.sla_violation_rate * 100.0,
+                fb.sla_violation_rate * 100.0, q.p99_ms, fb.p99_ms);
 
-    // ---- JSON trajectory ----------------------------------------------
-    FILE* f = std::fopen("BENCH_qos.json", "w");
-    if (f) {
-        std::fprintf(f, "{\n");
-        bench::writeJsonProvenance(f);
-        std::fprintf(f, "  \"scenarios\": [\"%s\", \"%s\", \"%s\"],\n",
-                     base.name.c_str(), qos_spec.name.c_str(),
-                     fb_spec.name.c_str());
-        std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
-                     base.serve.horizon_hours);
-        std::fprintf(f, "  \"interval_hours\": %.2f,\n",
-                     base.serve.interval_hours);
-        std::fprintf(f, "  \"time_compression\": %.0f,\n",
-                     base.serve.trace.time_compression);
-        std::fprintf(f, "  \"num_services\": %zu,\n", S);
-        std::fprintf(f, "  \"surge_hour\": %.2f,\n", surge_hour);
-        std::fprintf(f, "  \"surge_hours\": %.2f,\n", surge_hours);
-        std::fprintf(f, "  \"surge_factor\": %.2f,\n",
-                     base.services[0].spec.load.surge_factor);
-        std::fprintf(f, "  \"power_cap_w\": %.2f,\n", cap_w);
-        std::fprintf(f, "  \"qos_beats_baseline\": %s,\n",
-                     ok ? "true" : "false");
-        std::fprintf(f, "  \"services\": [\n");
-        for (size_t s = 0; s < S; ++s) {
-            const scenario::ServiceScenario& qs = qos_spec.services[s];
-            std::fprintf(
-                f,
-                "    {\"model\": \"%s\", \"peak_qps\": %.1f, "
-                "\"peak_hour\": %.2f, \"priority\": %d, "
-                "\"tier\": \"%s\"}%s\n",
-                model::modelName(model_ids[s]),
-                base.services[s].spec.load.peak_qps,
-                base.services[s].spec.load.peak_hour,
-                qs.spec.qos.priority, qos::tierName(qs.spec.qos.tier),
-                s + 1 < S ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        writeArmJson(f, baseline, model_ids, false);
-        writeArmJson(f, qos_run, model_ids, false);
-        writeArmJson(f, fb_run, model_ids, true);
-        std::fprintf(f, "}\n");
-        std::fclose(f);
-        std::printf("\nwrote BENCH_qos.json\n");
-    }
-
+    bench::writeArmsJson("BENCH_qos.json",
+                         {{"power_cap_w", fmtDouble(cap_w, 2)},
+                          {"overprovision_rate", fmtDouble(r_shared, 4)},
+                          {"sla_ok", bench::jsonBool(sla_ok)},
+                          {"power_ok", bench::jsonBool(power_ok)},
+                          {"qos_beats_baseline", bench::jsonBool(ok)}},
+                         arms);
     return ok ? 0 : 1;
 }

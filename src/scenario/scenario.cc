@@ -38,6 +38,22 @@ makeProvisioner(const ScenarioSpec& spec)
           static_cast<int>(spec.provisioner));
 }
 
+/**
+ * @return "(type, model)" of the first pair of the profiling grid the
+ * table has no entry for; empty when it covers the whole grid.
+ */
+std::string
+missingPair(const core::EfficiencyTable& table,
+            const core::ProfilerOptions& grid)
+{
+    for (hw::ServerType st : grid.servers)
+        for (model::ModelId m : grid.models)
+            if (table.get(st, m) == nullptr)
+                return std::string("(") + hw::serverTypeName(st) +
+                       ", " + model::modelName(m) + ")";
+    return "";
+}
+
 }  // namespace
 
 const char*
@@ -126,14 +142,6 @@ core::EfficiencyTable
 profileTable(const ScenarioSpec& spec)
 {
     validate(spec);
-    if (!spec.profile.table_cache.empty() &&
-        std::filesystem::exists(spec.profile.table_cache)) {
-        auto cached =
-            core::EfficiencyTable::tryReadCsv(spec.profile.table_cache);
-        if (cached.has_value())
-            return *cached;
-    }
-
     core::ProfilerOptions popt;
     popt.search.measure.sim.num_queries = spec.profile.num_queries;
     popt.search.measure.sim.warmup_queries =
@@ -148,6 +156,22 @@ profileTable(const ScenarioSpec& spec)
             seen = seen || m == s.spec.model;
         if (!seen)
             popt.models.push_back(s.spec.model);
+    }
+
+    // A cache profiled for another grid (another spec sharing the
+    // file) would serve this one without rows: trust it only when it
+    // covers every (fleet type, service model) pair.
+    const std::string& cache = spec.profile.table_cache;
+    if (!cache.empty() && std::filesystem::exists(cache)) {
+        if (auto cached = core::EfficiencyTable::tryReadCsv(cache)) {
+            std::string missing = missingPair(*cached, popt);
+            if (missing.empty())
+                return *cached;
+            logWarn("scenario",
+                    "'%s': table cache %s has no entry for %s: "
+                    "re-profiling",
+                    spec.name.c_str(), cache.c_str(), missing.c_str());
+        }
     }
 
     // One engine for the whole grid; the memo spill warm-starts
@@ -247,40 +271,32 @@ run(const ScenarioSpec& spec, const core::EfficiencyTable* table)
     return out;
 }
 
-bool
-writeResultJson(const std::string& path, const ScenarioResult& r,
-                const char* git_sha, const std::string& generated_at)
+void
+writeResultFields(std::FILE* f, const ScenarioResult& r,
+                  const char* indent)
 {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
     const ScenarioSpec& spec = r.resolved;
     const sim::ClusterSimResult& sim = r.serve.sim;
+    const char* in = indent;
 
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", git_sha);
-    std::fprintf(
-        f, "  \"generated_at\": \"%s\",\n",
-        generated_at.empty() ? isoUtcTimestamp().c_str()
-                             : generated_at.c_str());
-    std::fprintf(f, "  \"scenario\": \"%s\",\n", spec.name.c_str());
-    std::fprintf(f, "  \"provisioner\": \"%s\",\n",
+    std::fprintf(f, "%s\"scenario\": \"%s\",\n", in, spec.name.c_str());
+    std::fprintf(f, "%s\"provisioner\": \"%s\",\n", in,
                  provisionerKindName(spec.provisioner));
-    std::fprintf(f, "  \"router\": \"%s\",\n",
+    std::fprintf(f, "%s\"router\": \"%s\",\n", in,
                  sim::routerPolicyName(spec.serve.router));
-    std::fprintf(f, "  \"admission\": \"%s\",\n",
+    std::fprintf(f, "%s\"admission\": \"%s\",\n", in,
                  qos::admissionPolicyName(spec.serve.admission.policy));
-    std::fprintf(f, "  \"horizon_hours\": %.2f,\n",
+    std::fprintf(f, "%s\"horizon_hours\": %.2f,\n", in,
                  spec.serve.horizon_hours);
-    std::fprintf(f, "  \"interval_hours\": %.2f,\n",
+    std::fprintf(f, "%s\"interval_hours\": %.2f,\n", in,
                  spec.serve.interval_hours);
-    std::fprintf(f, "  \"time_compression\": %.0f,\n",
+    std::fprintf(f, "%s\"time_compression\": %.0f,\n", in,
                  spec.serve.trace.time_compression);
     if (std::isfinite(spec.serve.power_cap_w))
-        std::fprintf(f, "  \"power_cap_w\": %.2f,\n",
+        std::fprintf(f, "%s\"power_cap_w\": %.2f,\n", in,
                      spec.serve.power_cap_w);
     if (!spec.serve.power_cap_schedule.empty()) {
-        std::fprintf(f, "  \"power_cap_schedule\": [");
+        std::fprintf(f, "%s\"power_cap_schedule\": [", in);
         const auto& sched = spec.serve.power_cap_schedule;
         for (size_t i = 0; i < sched.size(); ++i)
             std::fprintf(f, "%s{\"from_hour\": %.2f, \"cap_w\": %.2f}",
@@ -288,81 +304,105 @@ writeResultJson(const std::string& path, const ScenarioResult& r,
                          sched[i].cap_w);
         std::fprintf(f, "],\n");
     }
-    std::fprintf(f, "  \"estimated_r\": %.4f,\n", r.serve.estimated_r);
-    std::fprintf(f, "  \"trace_queries\": %zu,\n",
+    std::fprintf(f, "%s\"estimated_r\": %.4f,\n", in,
+                 r.serve.estimated_r);
+    std::fprintf(f, "%s\"trace_queries\": %zu,\n", in,
                  r.serve.trace_queries);
-    std::fprintf(f, "  \"reprovisions\": %d,\n", r.serve.reprovisions);
-    std::fprintf(f, "  \"shard_slots\": %d,\n", r.serve.shard_slots);
-    std::fprintf(f, "  \"profile_wall_ms\": %.1f,\n",
+    std::fprintf(f, "%s\"reprovisions\": %d,\n", in,
+                 r.serve.reprovisions);
+    std::fprintf(f, "%s\"shard_slots\": %d,\n", in, r.serve.shard_slots);
+    std::fprintf(f, "%s\"profile_wall_ms\": %.1f,\n", in,
                  r.profile_wall_ms);
-    std::fprintf(f, "  \"serve_wall_ms\": %.1f,\n", r.serve_wall_ms);
+    std::fprintf(f, "%s\"serve_wall_ms\": %.1f,\n", in, r.serve_wall_ms);
 
-    std::fprintf(f, "  \"services\": [\n");
+    std::fprintf(f, "%s\"services\": [\n", in);
     for (size_t s = 0; s < spec.services.size(); ++s) {
         const ServiceScenario& svc = spec.services[s];
         const sim::ServiceRunStats& st = sim.services[s];
         std::fprintf(
             f,
-            "    {\"name\": \"%s\", \"model\": \"%s\", "
+            "%s  {\"name\": \"%s\", \"model\": \"%s\", "
             "\"peak_qps\": %.1f, \"peak_hour\": %.2f, "
             "\"priority\": %d, \"tier\": \"%s\", \"sla_ms\": %.2f, "
-            "\"capacity_qps\": %.1f, \"completed\": %zu, "
-            "\"rejected\": %zu, \"dropped\": %zu, \"p50_ms\": %.4f, "
-            "\"p99_ms\": %.4f, \"sla_violation_rate\": %.6f}%s\n",
-            svc.name.c_str(), model::modelName(svc.spec.model),
+            "\"capacity_qps\": %.1f, \"estimated_r\": %.4f, "
+            "\"injected\": %zu, \"completed\": %zu, \"rejected\": %zu, "
+            "\"dropped\": %zu, \"failed_inflight\": %zu, "
+            "\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
+            "\"sla_violations\": %zu, \"sla_violation_rate\": %.6f}%s\n",
+            in, svc.name.c_str(), model::modelName(svc.spec.model),
             svc.spec.load.peak_qps, svc.spec.load.peak_hour,
             svc.spec.qos.priority, qos::tierName(svc.spec.qos.tier),
-            r.serve.service_sla_ms[s],
-            r.serve.service_capacity_qps[s], st.completed,
-            st.rejected, st.dropped, st.p50_ms, st.p99_ms,
-            st.sla_violation_rate,
+            r.serve.service_sla_ms[s], r.serve.service_capacity_qps[s],
+            r.serve.service_r[s], st.injected, st.completed,
+            st.rejected, st.dropped, st.failed_inflight, st.p50_ms,
+            st.p99_ms, st.sla_violations, st.sla_violation_rate,
             s + 1 < spec.services.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n");
+    std::fprintf(f, "%s],\n", in);
 
-    std::fprintf(f, "  \"completed\": %zu,\n", sim.completed);
-    std::fprintf(f, "  \"rejected\": %zu,\n", sim.rejected);
-    std::fprintf(f, "  \"dropped\": %zu,\n", sim.dropped);
-    std::fprintf(f, "  \"admission_retries\": %zu,\n",
+    std::fprintf(f, "%s\"injected\": %zu,\n", in, sim.injected);
+    std::fprintf(f, "%s\"completed\": %zu,\n", in, sim.completed);
+    std::fprintf(f, "%s\"rejected\": %zu,\n", in, sim.rejected);
+    std::fprintf(f, "%s\"dropped\": %zu,\n", in, sim.dropped);
+    std::fprintf(f, "%s\"failed_inflight\": %zu,\n", in,
+                 sim.failed_inflight);
+    std::fprintf(f, "%s\"admission_retries\": %zu,\n", in,
                  sim.admission_retries);
-    std::fprintf(f, "  \"p50_ms\": %.4f,\n", sim.p50_ms);
-    std::fprintf(f, "  \"p99_ms\": %.4f,\n", sim.p99_ms);
-    std::fprintf(f, "  \"sla_violations\": %zu,\n",
+    std::fprintf(f, "%s\"p50_ms\": %.4f,\n", in, sim.p50_ms);
+    std::fprintf(f, "%s\"p99_ms\": %.4f,\n", in, sim.p99_ms);
+    std::fprintf(f, "%s\"sla_violations\": %zu,\n", in,
                  sim.sla_violations);
-    std::fprintf(f, "  \"sla_violation_rate\": %.6f,\n",
+    std::fprintf(f, "%s\"sla_violation_rate\": %.6f,\n", in,
                  sim.sla_violation_rate);
-    std::fprintf(f, "  \"avg_provisioned_power_w\": %.2f,\n",
+    std::fprintf(f, "%s\"avg_provisioned_power_w\": %.2f,\n", in,
                  sim.avg_provisioned_power_w);
-    std::fprintf(f, "  \"avg_consumed_power_w\": %.2f,\n",
+    std::fprintf(f, "%s\"avg_consumed_power_w\": %.2f,\n", in,
                  sim.avg_consumed_power_w);
 
     // Fault timeline: every applied health transition. Always emitted
     // (empty array on fault-free runs) so consumers never key-check.
-    std::fprintf(f, "  \"health_transitions\": [");
+    std::fprintf(f, "%s\"health_transitions\": [", in);
     for (size_t i = 0; i < sim.health_transitions.size(); ++i) {
         const sim::HealthTransition& ht = sim.health_transitions[i];
         std::fprintf(f,
-                     "%s\n    {\"t_s\": %.2f, \"shard\": %d, "
+                     "%s\n%s  {\"t_s\": %.2f, \"shard\": %d, "
                      "\"service\": %d, \"from\": \"%s\", \"to\": \"%s\", "
                      "\"slowdown\": %.2f, \"killed_inflight\": %zu}",
-                     i ? "," : "", ht.t_s, ht.shard, ht.service,
+                     i ? "," : "", in, ht.t_s, ht.shard, ht.service,
                      fault::healthStateName(ht.from),
                      fault::healthStateName(ht.to), ht.slowdown,
                      ht.killed_inflight);
     }
-    std::fprintf(f, "%s],\n",
-                 sim.health_transitions.empty() ? "" : "\n  ");
+    if (!sim.health_transitions.empty())
+        std::fprintf(f, "\n%s", in);
+    std::fprintf(f, "],\n");
 
     // DES self-profile: event counts are deterministic, wall timings
     // are provenance (vary run to run).
-    std::fprintf(f, "  \"des_events_executed\": %llu,\n",
+    std::fprintf(f, "%s\"des_events_executed\": %llu,\n", in,
                  static_cast<unsigned long long>(sim.des.events_executed));
-    std::fprintf(f, "  \"des_peak_event_queue_depth\": %zu,\n",
+    std::fprintf(f, "%s\"des_peak_event_queue_depth\": %zu,\n", in,
                  sim.des.peak_event_queue_depth);
-    std::fprintf(f, "  \"des_events_per_sec\": %.0f,\n",
+    std::fprintf(f, "%s\"des_events_per_sec\": %.0f,\n", in,
                  sim.des.events_per_sec);
 
-    hercules::sim::writeIntervalArraysJson(f, sim.intervals, "  ");
+    hercules::sim::writeIntervalArraysJson(f, sim.intervals, in);
+}
+
+bool
+writeResultJson(const std::string& path, const ScenarioResult& r,
+                const char* git_sha, const std::string& generated_at)
+{
+    FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        return false;
+    std::fprintf(f, "{\n");
+    std::fprintf(f, "  \"git_sha\": \"%s\",\n", git_sha);
+    std::fprintf(
+        f, "  \"generated_at\": \"%s\",\n",
+        generated_at.empty() ? isoUtcTimestamp().c_str()
+                             : generated_at.c_str());
+    writeResultFields(f, r, "  ");
     std::fprintf(f, "}\n");
     std::fclose(f);
     return true;

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -160,7 +161,10 @@ struct ScenarioResult
  * Profile (or load) the efficiency table a spec's run needs: the
  * (fleet type x service model) grid under the spec's measurement
  * knobs, with the CSV cache and EvalEngine memo spill of
- * ScenarioSpec::profile applied.
+ * ScenarioSpec::profile applied. A cached table is trusted only when
+ * it holds an entry for every (fleet type, service model) pair of the
+ * spec; otherwise the grid is re-profiled (the log names the missing
+ * pair) and the cache rewritten.
  */
 core::EfficiencyTable profileTable(const ScenarioSpec& spec);
 
@@ -198,10 +202,21 @@ ScenarioResult run(const ScenarioSpec& spec,
                    const core::EfficiencyTable* table = nullptr);
 
 /**
- * Write a BENCH_scenario.json-style result file: provenance header
- * (caller-supplied git SHA + ISO timestamp), the resolved spec's
- * headline knobs, run aggregates, per-service stats and the
- * per-interval trajectory arrays.
+ * Write one run's result object body — the only writer of a run's
+ * JSON: the resolved spec's headline knobs, run aggregates (every
+ * arrival accounted: trace_queries = completed + dropped + rejected +
+ * failed_inflight), per-service stats, health transitions, DES
+ * counters and the per-interval trajectory arrays. One `"key": value`
+ * per line prefixed with `indent`; no enclosing braces, the last line
+ * carries no comma.
+ */
+void writeResultFields(std::FILE* f, const ScenarioResult& r,
+                       const char* indent);
+
+/**
+ * Write a BENCH_scenario.json result file: provenance header
+ * (caller-supplied git SHA + ISO timestamp) followed by
+ * writeResultFields().
  * @return true when the file was written.
  */
 bool writeResultJson(const std::string& path, const ScenarioResult& r,

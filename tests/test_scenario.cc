@@ -8,7 +8,8 @@
  * equivalence, the time-varying power-cap schedule, and the golden
  * pin that scenario::run() on a spec mirroring bench_multiservice's
  * joint-arm wiring reproduces a hand-wired cluster::serveTraces()
- * call bit-identically.
+ * call bit-identically, the result JSON's arrival accounting, and the
+ * table cache's grid-coverage check.
  */
 #include <gtest/gtest.h>
 
@@ -821,6 +822,151 @@ TEST(ScenarioRun, ValidateSpecCatchesUnrunnableSpecs)
     ScenarioSpec bad_interval = goldenSpec();
     bad_interval.serve.interval_hours = 0.0;
     EXPECT_FALSE(validateSpec(bad_interval, &err));
+}
+
+/** @return the value text after `"key": ` at `from`, up to , or }. */
+std::string
+jsonValueAt(const std::string& text, size_t from)
+{
+    size_t end = text.find_first_of(",}\n", from);
+    return text.substr(from, end - from);
+}
+
+/** @return the value of a run-level key (its own 2-space line). */
+std::string
+topLevelValue(const std::string& text, const std::string& key)
+{
+    const std::string pat = "\n  \"" + key + "\": ";
+    size_t at = text.find(pat);
+    return at == std::string::npos ? ""
+                                   : jsonValueAt(text, at + pat.size());
+}
+
+/** @return the value of `key` inside one single-line JSON object. */
+std::string
+objectValue(const std::string& line, const std::string& key)
+{
+    const std::string pat = "\"" + key + "\": ";
+    size_t at = line.find(pat);
+    return at == std::string::npos ? ""
+                                   : jsonValueAt(line, at + pat.size());
+}
+
+TEST(ScenarioRun, ResultJsonAccountsForEveryArrival)
+{
+    core::EfficiencyTable table = goldenTable();
+    ScenarioSpec spec = goldenSpec();
+    // Frequent seeded crashes, some landing on busy shards and
+    // killing their in-flight queries.
+    spec.serve.faults.crash_mtbf_hours = 0.5;
+    spec.serve.faults.crash_mttr_hours = 0.1;
+    ScenarioResult r = run(spec, &table);
+    const sim::ClusterSimResult& sim = r.serve.sim;
+    ASSERT_GT(sim.failed_inflight, 0u);
+    ASSERT_EQ(r.serve.trace_queries, sim.completed + sim.dropped +
+                                         sim.rejected +
+                                         sim.failed_inflight);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         "hercules_test_scenario_result.json")
+            .string();
+    ASSERT_TRUE(writeResultJson(path, r, "test"));
+    const std::string text = readFile(path);
+    std::remove(path.c_str());
+
+    EXPECT_EQ(topLevelValue(text, "trace_queries"),
+              std::to_string(r.serve.trace_queries));
+    EXPECT_EQ(topLevelValue(text, "injected"),
+              std::to_string(sim.injected));
+    EXPECT_EQ(topLevelValue(text, "completed"),
+              std::to_string(sim.completed));
+    EXPECT_EQ(topLevelValue(text, "dropped"), std::to_string(sim.dropped));
+    EXPECT_EQ(topLevelValue(text, "rejected"),
+              std::to_string(sim.rejected));
+    EXPECT_EQ(topLevelValue(text, "failed_inflight"),
+              std::to_string(sim.failed_inflight));
+    EXPECT_EQ(topLevelValue(text, "sla_violations"),
+              std::to_string(sim.sla_violations));
+
+    // One single-line object per service, in service order.
+    std::vector<std::string> svc_lines;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);)
+        if (line.rfind("    {\"name\": ", 0) == 0)
+            svc_lines.push_back(line);
+    ASSERT_EQ(svc_lines.size(), sim.services.size());
+    size_t svc_killed = 0;
+    for (size_t s = 0; s < sim.services.size(); ++s) {
+        const sim::ServiceRunStats& st = sim.services[s];
+        const std::string& l = svc_lines[s];
+        EXPECT_EQ(objectValue(l, "injected"), std::to_string(st.injected));
+        EXPECT_EQ(objectValue(l, "completed"),
+                  std::to_string(st.completed));
+        EXPECT_EQ(objectValue(l, "dropped"), std::to_string(st.dropped));
+        EXPECT_EQ(objectValue(l, "rejected"),
+                  std::to_string(st.rejected));
+        EXPECT_EQ(objectValue(l, "failed_inflight"),
+                  std::to_string(st.failed_inflight));
+        svc_killed += std::stoul(objectValue(l, "failed_inflight"));
+    }
+    EXPECT_EQ(svc_killed, sim.failed_inflight);
+
+    // The health timeline's kills add up to the run-level count.
+    size_t transition_killed = 0;
+    const std::string kpat = "\"killed_inflight\": ";
+    for (size_t at = text.find(kpat); at != std::string::npos;
+         at = text.find(kpat, at + 1))
+        transition_killed +=
+            std::stoul(jsonValueAt(text, at + kpat.size()));
+    EXPECT_EQ(transition_killed, sim.failed_inflight);
+}
+
+TEST(ScenarioRun, TableCacheMissingGridPairIsReprofiled)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "hercules_test_scenario_cache";
+    fs::remove_all(dir);
+    fs::create_directories(dir / "shared");
+    fs::create_directories(dir / "fresh");
+
+    // Two small specs whose grids differ (T2 vs T2+T3, one model)
+    // share one table cache, as benches sharing a cache file do.
+    ScenarioSpec narrow;
+    narrow.name = "narrow";
+    narrow.fleet = {{ServerType::T2, 1}};
+    ServiceScenario svc;
+    svc.spec.model = ModelId::DlrmRmc1;
+    svc.peak_qps_frac = 0.3;
+    narrow.services = {svc};
+    narrow.serve.horizon_hours = 1.0;
+    narrow.serve.trace.time_compression = 960.0;
+    narrow.profile.num_queries = 120;
+    narrow.profile.warmup_queries = 20;
+    narrow.profile.bisect_iters = 2;
+    narrow.profile.table_cache = (dir / "shared" / "table.csv").string();
+
+    ScenarioSpec wide = narrow;
+    wide.name = "wide";
+    wide.fleet.push_back({ServerType::T3, 1});
+
+    run(narrow);  // writes the cache with T2 rows only
+    ScenarioResult second = run(wide);
+
+    ScenarioSpec wide_fresh = wide;
+    wide_fresh.profile.table_cache =
+        (dir / "fresh" / "table.csv").string();
+    ScenarioResult fresh = run(wide_fresh);
+
+    ASSERT_NE(second.table.get(ServerType::T3, ModelId::DlrmRmc1),
+              nullptr);
+    EXPECT_TRUE(second.table == fresh.table);
+    expectBitIdentical(second.serve, fresh.serve);
+    // The shared cache now holds the wide grid and is trusted as is.
+    EXPECT_TRUE(profileTable(wide).get(ServerType::T3,
+                                       ModelId::DlrmRmc1) != nullptr);
+    fs::remove_all(dir);
 }
 
 TEST(ScenarioRun, ProvisionerNamesRoundTrip)
