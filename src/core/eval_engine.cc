@@ -170,6 +170,7 @@ EvalEngine::compute(const EvalRequest& r)
         out.point ? static_cast<uint64_t>(out.point->sims)
                   : static_cast<uint64_t>(mo.bisect_iters + 2),
         std::memory_order_relaxed);
+    graph_evals_.fetch_add(w.times.graphEvals(), std::memory_order_relaxed);
     return out;
 }
 
@@ -224,6 +225,7 @@ EvalEngine::stats() const
     s.misses = misses_.load(std::memory_order_relaxed);
     s.invalid = invalid_.load(std::memory_order_relaxed);
     s.simulations = simulations_.load(std::memory_order_relaxed);
+    s.graph_evals = graph_evals_.load(std::memory_order_relaxed);
     s.measure_wall_ms =
         static_cast<double>(
             measure_wall_us_.load(std::memory_order_relaxed)) *

@@ -124,6 +124,13 @@ class EvalEngine
         uint64_t misses = 0;      ///< requests that ran the measurement
         uint64_t invalid = 0;     ///< requests rejected by validateConfig
         uint64_t simulations = 0; ///< discrete-event simulator runs
+        /**
+         * Cost-model graph evaluations: service-time table entries
+         * filled by the measurements (sim/service_times.h). A
+         * deterministic work counter — it depends only on which
+         * configurations were measured, never on timing.
+         */
+        uint64_t graph_evals = 0;
         /** Wall time spent inside measurements, summed over all pool
          *  threads (self-profiling only — never fed back into results). */
         double measure_wall_ms = 0.0;
@@ -181,6 +188,7 @@ class EvalEngine
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> invalid_{0};
     std::atomic<uint64_t> simulations_{0};
+    std::atomic<uint64_t> graph_evals_{0};
     /** Microseconds, so the accumulator stays a lock-free integer. */
     std::atomic<uint64_t> measure_wall_us_{0};
 };

@@ -207,14 +207,9 @@ CostModel::gpuKernelLatencyUs(const Node& n, int batch,
     double b = static_cast<double>(batch);
     model::OpCost cost = model::opCostPerItem(n);
 
-    if (n.kind() == OpKind::EmbeddingLookup) {
-        const auto& p = std::get<EmbeddingParams>(n.params);
-        double pooling = std::max(
-            1.0, p.avgPooling() * cx.pooling_scale * cx.hot_hit_rate);
-        double bytes = b * pooling * p.emb_dim * 4.0;
-        double bw = gpu.hbm_gbps * kGpuHbmGatherEff * 1e9;
-        return kGpuKernelLaunchUs + bytes / bw * 1e6 * slow;
-    }
+    if (n.kind() == OpKind::EmbeddingLookup)
+        return gpuGatherKernelUs(std::get<EmbeddingParams>(n.params), batch,
+                                 cx);
 
     double eff = gpuBatchEff(batch);
     if (n.kind() == OpKind::Gru) {
@@ -225,6 +220,23 @@ CostModel::gpuKernelLatencyUs(const Node& n, int batch,
     double flops = cost.flops * b;
     double rate = gpu.peakTflops() * 1e12 * eff;
     return kGpuKernelLaunchUs + flops / rate * 1e6 * slow;
+}
+
+double
+CostModel::gpuGatherKernelUs(const EmbeddingParams& p, int batch,
+                             const GpuExecContext& cx) const
+{
+    using namespace calib;
+    if (!server_.hasGpu())
+        panic("gpuGatherKernelUs: server %s has no GPU",
+              server_.name.c_str());
+    double slow = colocSlowdown(cx.colocated);
+    double b = static_cast<double>(batch);
+    double pooling = std::max(
+        1.0, p.avgPooling() * cx.pooling_scale * cx.hot_hit_rate);
+    double bytes = b * pooling * p.emb_dim * 4.0;
+    double bw = server_.gpu->hbm_gbps * kGpuHbmGatherEff * 1e9;
+    return kGpuKernelLaunchUs + bytes / bw * 1e6 * slow;
 }
 
 GraphTiming
@@ -250,42 +262,59 @@ CostModel::gpuGraphTiming(const Graph& g, int batch,
 }
 
 double
-CostModel::gpuInputBytes(const Graph& g, int batch,
-                         const GpuExecContext& cx) const
+GpuInputTerm::perItemBytes(double pooling_scale, double hot_hit_rate) const
 {
-    double per_item = 0.0;
+    switch (kind) {
+      case Kind::Fixed:
+        return value;
+      case Kind::Indices:
+        return std::max(1.0, value * pooling_scale) * hot_hit_rate * 8.0;
+      case Kind::ColdRows:
+        return (1.0 - hot_hit_rate) *
+               std::max(1.0, value * pooling_scale) * dim * 4.0;
+      case Kind::Sequence:
+        return value * pooling_scale * dim * 4.0;
+    }
+    panic("GpuInputTerm: bad kind %d", static_cast<int>(kind));
+}
+
+std::vector<GpuInputTerm>
+gpuInputTerms(const Graph& g, double hot_hit_rate)
+{
+    using Kind = GpuInputTerm::Kind;
+    std::vector<GpuInputTerm> terms;
     for (const auto& n : g.nodes()) {
         model::OpCost cost = model::opCostPerItem(n);
         switch (n.kind()) {
           case OpKind::EmbeddingLookup: {
             const auto& p = std::get<EmbeddingParams>(n.params);
-            double pooling =
-                std::max(1.0, p.avgPooling() * cx.pooling_scale);
             // Resident fraction receives raw indices. The cold fraction
             // of a pooled lookup was pre-reduced on the host and arrives
             // as one partial-sum vector per table; a non-pooled cold
             // fraction must ship the gathered rows themselves.
-            per_item += pooling * cx.hot_hit_rate * 8.0;
-            if (cx.hot_hit_rate < 1.0) {
+            terms.push_back({Kind::Indices, p.avgPooling(), 0.0});
+            if (hot_hit_rate < 1.0) {
                 if (p.pooled)
-                    per_item += p.emb_dim * 4.0;
+                    terms.push_back({Kind::Fixed, p.emb_dim * 4.0, 0.0});
                 else
-                    per_item += (1.0 - cx.hot_hit_rate) * pooling *
-                                p.emb_dim * 4.0;
+                    terms.push_back({Kind::ColdRows, p.avgPooling(),
+                                     static_cast<double>(p.emb_dim)});
             }
             break;
           }
           case OpKind::Fc:
-            if (n.deps.empty())
-                per_item += cost.input_bytes;  // root dense features
+            if (n.deps.empty())  // root dense features
+                terms.push_back({Kind::Fixed, cost.input_bytes, 0.0});
             break;
           case OpKind::Interaction: {
             // Dependencies severed by partitioning arrive over PCIe.
             const auto& p = std::get<model::InteractionParams>(n.params);
             int missing = p.num_features - static_cast<int>(n.deps.size());
             if (missing > 0)
-                per_item += static_cast<double>(missing) *
-                            p.feature_dim * 4.0;
+                terms.push_back({Kind::Fixed,
+                                 static_cast<double>(missing) *
+                                     p.feature_dim * 4.0,
+                                 0.0});
             break;
           }
           case OpKind::Attention: {
@@ -296,18 +325,16 @@ CostModel::gpuInputBytes(const Graph& g, int batch,
                 if (k == OpKind::EmbeddingLookup || k == OpKind::Gru)
                     has_seq_producer = true;
             }
-            if (!has_seq_producer) {
-                per_item += p.avgSeqLen() * cx.pooling_scale *
-                            p.behavior_dim * 4.0;
-            }
+            if (!has_seq_producer)
+                terms.push_back({Kind::Sequence, p.avgSeqLen(),
+                                 static_cast<double>(p.behavior_dim)});
             break;
           }
           case OpKind::Gru: {
             const auto& p = std::get<model::GruParams>(n.params);
-            if (n.deps.empty()) {
-                per_item += p.avgSeqLen() * cx.pooling_scale *
-                            p.input_dim * 4.0;
-            }
+            if (n.deps.empty())
+                terms.push_back({Kind::Sequence, p.avgSeqLen(),
+                                 static_cast<double>(p.input_dim)});
             break;
           }
           case OpKind::Concat: {
@@ -318,13 +345,23 @@ CostModel::gpuInputBytes(const Graph& g, int batch,
             double missing = static_cast<double>(p.total_dim) * 4.0 -
                              present;
             if (missing > 0.0 && n.deps.empty())
-                per_item += missing;
+                terms.push_back({Kind::Fixed, missing, 0.0});
             break;
           }
           default:
             break;
         }
     }
+    return terms;
+}
+
+double
+CostModel::gpuInputBytes(const Graph& g, int batch,
+                         const GpuExecContext& cx) const
+{
+    double per_item = 0.0;
+    for (const GpuInputTerm& t : gpuInputTerms(g, cx.hot_hit_rate))
+        per_item += t.perItemBytes(cx.pooling_scale, cx.hot_hit_rate);
     return per_item * static_cast<double>(batch);
 }
 

@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -69,6 +70,39 @@ struct GraphTiming
 };
 
 /**
+ * One addend of gpuInputBytes()'s per-item sum. The pooling-scale
+ * independent addends are stored as constants; the others stay
+ * formulas of the batch's pooling scale, so a graph compiles to its
+ * term list once and each batch only re-evaluates the formulas.
+ */
+struct GpuInputTerm
+{
+    enum class Kind : uint8_t
+    {
+        Fixed,     ///< `value` bytes (root features, severed inputs)
+        Indices,   ///< raw indices of the resident fraction
+        ColdRows,  ///< gathered rows of a non-pooled cold fraction
+        Sequence,  ///< host-supplied behavior sequence
+    };
+    Kind kind = Kind::Fixed;
+    /** Fixed: bytes; Indices/ColdRows: mean pooling; Sequence: mean
+     *  sequence length. */
+    double value = 0.0;
+    double dim = 0.0;  ///< ColdRows/Sequence: vector width (elements)
+
+    /** @return this addend's bytes per item. */
+    double perItemBytes(double pooling_scale, double hot_hit_rate) const;
+};
+
+/**
+ * gpuInputBytes()'s per-item addends for `g`, in node order. Depends
+ * only on the graph and the hot hit rate (which decides whether the
+ * cold-fraction addends exist).
+ */
+std::vector<GpuInputTerm> gpuInputTerms(const model::Graph& g,
+                                        double hot_hit_rate);
+
+/**
  * Cost model bound to one server architecture.
  *
  * NMP lookup tables are built lazily per embedding width, mirroring the
@@ -105,6 +139,14 @@ class CostModel
     double gpuKernelLatencyUs(const model::Node& n, int batch,
                               const GpuExecContext& cx) const;
 
+    /**
+     * Latency of one embedding-gather kernel on the GPU (us): the
+     * gather arm of gpuKernelLatencyUs(), also evaluated per batch by
+     * the simulator's compiled kernel lists.
+     */
+    double gpuGatherKernelUs(const model::EmbeddingParams& p, int batch,
+                             const GpuExecContext& cx) const;
+
     /** Time one batch through a graph on one GPU inference thread. */
     GraphTiming gpuGraphTiming(const model::Graph& g, int batch,
                                const GpuExecContext& cx) const;
@@ -113,6 +155,8 @@ class CostModel
      * Host->device bytes for one batch of the given graph: embedding
      * indices, root dense features, partial sums for non-resident
      * (cold) table fractions, and inputs severed by graph partitioning.
+     * The sum of gpuInputTerms(g, cx.hot_hit_rate) in order, times
+     * `batch`.
      */
     double gpuInputBytes(const model::Graph& g, int batch,
                          const GpuExecContext& cx) const;

@@ -226,8 +226,10 @@ class Linter
                 any_frac = true;
                 frac_sum += s.peak_qps_frac;
             }
-            if (table_ != nullptr)
+            if (table_ != nullptr) {
                 checkServiceFeasible(i, ctx);
+                checkPeakCapacity(i, ctx);
+            }
         }
         if (any_frac && frac_sum > 1.0)
             warning("W206", "services",
@@ -271,6 +273,31 @@ class Linter
                       "efficiency table: its SLA is tighter than the "
                       "hardware's minimum achievable latency, so no "
                       "shard can ever serve it");
+    }
+
+    /**
+     * E131: with a table, a peak_qps_frac service must have capacity
+     * to scale: resolvePeaks() aborts when no fleet type with slots
+     * has a feasible row for its model.
+     */
+    void
+    checkPeakCapacity(size_t i, const std::string& ctx)
+    {
+        const ServiceScenario& s = spec_.services[i];
+        if (!(s.peak_qps_frac > 0.0) ||
+            fleetCapacityQps(spec_, s.spec.model, *table_) > 0.0)
+            return;
+        unresolvable_peak_ = true;
+        std::string types;
+        for (const FleetEntry& e : spec_.fleet)
+            types += std::string(types.empty() ? "" : ", ") +
+                     hw::serverTypeName(e.type);
+        error("E131", ctx + ".peak_qps_frac",
+              "peak_qps_frac " + num(s.peak_qps_frac) +
+                  " has no capacity to scale: no fleet type with slots (" +
+                  (types.empty() ? std::string("none") : types) +
+                  ") has a feasible efficiency-table row for " +
+                  model::modelName(s.spec.model));
     }
 
     void
@@ -402,7 +429,7 @@ class Linter
     checkPeakDemand()
     {
         if (table_ == nullptr || spec_.services.empty() ||
-            !scheduleWellFormed())
+            !scheduleWellFormed() || unresolvable_peak_)
             return;
 
         double min_cap = spec_.serve.power_cap_w;
@@ -458,6 +485,8 @@ class Linter
     const ScenarioSpec& spec_;
     const core::EfficiencyTable* table_;
     std::vector<Diagnostic> out_;
+    /** E131 fired: resolvePeaks() would abort on this spec. */
+    bool unresolvable_peak_ = false;
 };
 
 }  // namespace

@@ -77,7 +77,7 @@ std::string formatDiagnostic(const Diagnostic& d);
  *
  * With `table` null only the table-free checks run; passing the
  * efficiency table the spec would serve from additionally enables the
- * hardware-feasibility checks (E130, W209). lint() never simulates:
+ * hardware-feasibility checks (E130, E131, W209). lint() never simulates:
  * tables come from ScenarioSpec::profile.table_cache or a prior run.
  *
  * Errors are a superset of validateSpec(): any spec validateSpec()

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include "obs/self_profile.h"
 #include "scenario/lint.h"
@@ -190,6 +191,19 @@ profileTable(const ScenarioSpec& spec)
     return table;
 }
 
+double
+fleetCapacityQps(const ScenarioSpec& spec, model::ModelId m,
+                 const core::EfficiencyTable& table)
+{
+    double capacity = 0.0;
+    for (const FleetEntry& e : spec.fleet) {
+        const core::EfficiencyEntry* ent = table.get(e.type, m);
+        if (ent != nullptr && ent->feasible)
+            capacity += e.shard_slots * ent->qps;
+    }
+    return capacity;
+}
+
 void
 resolvePeaks(ScenarioSpec& spec, const core::EfficiencyTable& table)
 {
@@ -198,12 +212,20 @@ resolvePeaks(ScenarioSpec& spec, const core::EfficiencyTable& table)
             s.name = model::modelName(s.spec.model);
         if (s.peak_qps_frac <= 0.0)
             continue;
-        double capacity = 0.0;
-        for (const FleetEntry& e : spec.fleet) {
-            const core::EfficiencyEntry* ent =
-                table.get(e.type, s.spec.model);
-            if (ent != nullptr && ent->feasible)
-                capacity += e.shard_slots * ent->qps;
+        double capacity = fleetCapacityQps(spec, s.spec.model, table);
+        if (!(capacity > 0.0)) {
+            std::string fleet;
+            for (const FleetEntry& e : spec.fleet)
+                fleet += std::string(fleet.empty() ? "" : ", ") +
+                         hw::serverTypeName(e.type) + " x" +
+                         std::to_string(e.shard_slots);
+            fatal("resolvePeaks: service '%s' sizes its peak as "
+                  "peak_qps_frac %g of the fleet's capacity, but no "
+                  "fleet type with slots has a feasible efficiency-table "
+                  "row for %s (fleet: %s)",
+                  s.name.c_str(), s.peak_qps_frac,
+                  model::modelName(s.spec.model),
+                  fleet.empty() ? "empty" : fleet.c_str());
         }
         s.spec.load.peak_qps = s.peak_qps_frac * capacity;
         s.peak_qps_frac = 0.0;

@@ -169,10 +169,20 @@ struct ScenarioResult
 core::EfficiencyTable profileTable(const ScenarioSpec& spec);
 
 /**
+ * Full-fleet capacity (QPS) of model `m`: shard slots times the
+ * table's latency-bounded QPS, summed over the fleet types whose row
+ * is feasible. The base that peak_qps_frac scales.
+ */
+double fleetCapacityQps(const ScenarioSpec& spec, model::ModelId m,
+                        const core::EfficiencyTable& table);
+
+/**
  * Resolve every service's peak_qps_frac against a profiled table, in
  * place: load.peak_qps = frac * full-fleet capacity, frac cleared.
  * run() does this internally; callers that derive further knobs from
  * the resolved loads (e.g. a power-cap sweep) use it up front.
+ * fatal() naming the service and the fleet when a service with a
+ * fraction has no capacity to scale (lint's E131 reports it first).
  */
 void resolvePeaks(ScenarioSpec& spec,
                   const core::EfficiencyTable& table);

@@ -51,6 +51,47 @@ cachedHotSplit(const model::Model& m, int64_t capacity)
 
 }  // namespace
 
+PreparedWorkload::PreparedWorkload(const hw::ServerSpec& server_spec,
+                                   const model::Model& m,
+                                   const SchedulingConfig& cfg)
+    : server(&server_spec), model(&m), config(cfg), times(server_spec)
+{
+}
+
+CpuServiceEntry
+PreparedWorkload::cpuService(int pool_id, int items) const
+{
+    switch (pool_id) {
+      case 0: return times.cpu(0, items, full, cpu_cx);
+      case 1: return times.cpu(1, items, sparse, cpu_cx);
+      case 2: {
+        hw::CpuExecContext cx = cpu_cx;
+        cx.workers = 1;
+        return times.cpu(2, items, dense, cx);
+      }
+      case 3: return times.cpu(3, items, sparse, cold_cx);
+    }
+    panic("PreparedWorkload::cpuService: bad pool id %d", pool_id);
+}
+
+const model::Graph&
+PreparedWorkload::gpuGraph() const
+{
+    return config.mapping == Mapping::GpuModelBased ? full : dense;
+}
+
+double
+PreparedWorkload::gpuExecUs(int items, double pooling_scale) const
+{
+    return times.gpuExecUs(items, pooling_scale, gpuGraph(), gpu_cx);
+}
+
+double
+PreparedWorkload::gpuInputBytes(int items, double pooling_scale) const
+{
+    return times.gpuInputBytes(items, pooling_scale, gpuGraph(), gpu_cx);
+}
+
 std::optional<std::string>
 validateConfig(const hw::ServerSpec& server, const model::Model& m,
                const SchedulingConfig& cfg)
@@ -122,10 +163,7 @@ prepare(const hw::ServerSpec& server, const model::Model& m,
               cfg.str().c_str(), m.name.c_str(), server.name.c_str(),
               err->c_str());
 
-    PreparedWorkload w;
-    w.server = &server;
-    w.model = &m;
-    w.config = cfg;
+    PreparedWorkload w(server, m, cfg);
 
     const model::Graph& base =
         m.graph;  // zoo graphs are already minimal; fusion applied below
@@ -147,9 +185,8 @@ prepare(const hw::ServerSpec& server, const model::Model& m,
         mem_threads = std::max(cfg.cpu_threads, 1);
         break;
     }
-    hw::CostModel cost(server);
     w.cpu_cx.workers = cfg.cores_per_thread;
-    w.cpu_cx.mem_bw_gbps = cost.perThreadBwGbps(mem_threads);
+    w.cpu_cx.mem_bw_gbps = w.cost().perThreadBwGbps(mem_threads);
     w.cpu_cx.use_nmp = server.hasNmp();
     w.cpu_cx.nmp_share = 1.0 / std::max(mem_threads, 1);
 

@@ -20,6 +20,7 @@
 // but orphan it from the search code that owns its semantics.
 // layer-lint: allow(sched)
 #include "sched/config.h"
+#include "sim/service_times.h"
 
 namespace hercules::sim {
 
@@ -35,6 +36,10 @@ namespace hercules::sim {
  */
 struct PreparedWorkload
 {
+    /** Binds the placement's identity; prepare() fills the rest. */
+    PreparedWorkload(const hw::ServerSpec& server, const model::Model& m,
+                     const sched::SchedulingConfig& cfg);
+
     const hw::ServerSpec* server = nullptr;
     const model::Model* model = nullptr;
     sched::SchedulingConfig config;
@@ -47,6 +52,34 @@ struct PreparedWorkload
     hw::CpuExecContext cpu_cx;   ///< model-based / SparseNet threads
     hw::CpuExecContext cold_cx;  ///< host cold-sparse path (hot-split)
     hw::GpuExecContext gpu_cx;   ///< accelerator threads
+
+    /**
+     * The workload's service-time table (service_times.h): filled on
+     * first use from the fields above, which are therefore frozen
+     * once the workload has been simulated — edit a copy instead (a
+     * copy starts with an empty table). Single-threaded; see the
+     * table's ownership contract.
+     */
+    mutable ServiceTimes times;
+
+    /** @return the workload's cost model (owned by `times`). */
+    const hw::CostModel& cost() const { return times.cost(); }
+
+    /**
+     * CPU service timing of `items` items on pool `pool_id`:
+     * 0 = full graph, 1 = SparseNet, 2 = DenseNet (one op worker per
+     * thread, Fig 10(b)), 3 = hot-split cold SparseNet.
+     */
+    CpuServiceEntry cpuService(int pool_id, int items) const;
+
+    /** GPU execution latency (us) of an `items`-item fused batch. */
+    double gpuExecUs(int items, double pooling_scale) const;
+
+    /** Host->device bytes of an `items`-item fused batch. */
+    double gpuInputBytes(int items, double pooling_scale) const;
+
+    /** @return the graph the accelerator threads execute. */
+    const model::Graph& gpuGraph() const;
 };
 
 /**

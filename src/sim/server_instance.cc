@@ -11,7 +11,7 @@ using sched::Mapping;
 
 ServerInstance::ServerInstance(const PreparedWorkload& w,
                                const SimOptions& opt)
-    : w_(w), opt_(opt), cost_(*w.server), power_(*w.server)
+    : w_(w), opt_(opt), power_(*w.server)
 {
     // ---- set up pools -------------------------------------------------
     const sched::SchedulingConfig& cfg = w_.config;
@@ -155,52 +155,10 @@ ServerInstance::abortTriggered()
     return eq_.now() - q.arrival > opt_.abort_tail_ms * 1e-3;
 }
 
-const model::Graph&
-ServerInstance::poolGraph(int pool_id) const
-{
-    switch (pool_id) {
-      case 0: return w_.full;
-      case 1: return w_.sparse;
-      case 2: return w_.dense;
-      case 3: return w_.sparse;
-    }
-    panic("poolGraph: bad pool id %d", pool_id);
-}
-
-const hw::CpuExecContext&
-ServerInstance::poolContext(int pool_id) const
-{
-    return pool_id == 3 ? w_.cold_cx : w_.cpu_cx;
-}
-
 ServerInstance::ServiceSample
 ServerInstance::cpuService(int pool_id, int items, double query_ps)
 {
-    auto& memo = memo_[pool_id];
-    auto it = memo.find(items);
-    if (it == memo.end()) {
-        hw::CpuExecContext cx = poolContext(pool_id);
-        // DenseNet threads run with a single op worker (Fig 10(b)).
-        if (pool_id == 2)
-            cx.workers = 1;
-        double base_scale = cx.pooling_scale;
-        cx.pooling_scale = base_scale * 1.0;
-        hw::GraphTiming t1 =
-            cost_.cpuGraphTiming(poolGraph(pool_id), items, cx);
-        cx.pooling_scale = base_scale * 2.0;
-        hw::GraphTiming t2 =
-            cost_.cpuGraphTiming(poolGraph(pool_id), items, cx);
-        ServiceMemoEntry e;
-        e.lat1 = t1.latency_us;
-        e.lat2 = t2.latency_us;
-        e.bytes1 = t1.dram_bytes;
-        e.bytes2 = t2.dram_bytes;
-        e.nmp1 = t1.nmp_busy_us;
-        e.nmp2 = t2.nmp_busy_us;
-        e.idle_frac = t1.idle_frac;
-        it = memo.emplace(items, e).first;
-    }
-    const ServiceMemoEntry& e = it->second;
+    const CpuServiceEntry e = w_.cpuService(pool_id, items);
     double f = query_ps - 1.0;
     ServiceSample s;
     s.latency_us = std::max(1e-3, e.lat1 + (e.lat2 - e.lat1) * f);
@@ -473,14 +431,11 @@ void
 ServerInstance::startTransfer(size_t tid, uint32_t slot)
 {
     const Batch& b = batches_[slot];
-    const model::Graph& g =
-        mapping() == Mapping::GpuModelBased ? w_.full : w_.dense;
-    hw::GpuExecContext cx = w_.gpu_cx;
-    cx.pooling_scale = b.ps;
-    double bytes = cost_.gpuInputBytes(g, b.items, cx);
+    double bytes = w_.gpuInputBytes(b.items, b.ps);
     // The PCIe link is a FIFO DMA engine shared by all loaders.
+    const hw::CostModel& cost = w_.cost();
     double dur_s = (hw::calib::kGpuHostPrepUs +
-                    cost_.pcieTransferUs(bytes, cost_.pcieBwGbps())) *
+                    cost.pcieTransferUs(bytes, cost.pcieBwGbps())) *
                    1e-6 * slowdown_;
     double start = std::max(eq_.now(), pcie_free_);
     double end = start + dur_s;
@@ -516,16 +471,12 @@ ServerInstance::startExec(size_t tid, uint32_t slot)
     const Batch& b = batches_[slot];
     GpuThread& th = gpu_threads_[tid];
     th.executing = true;
-    const model::Graph& g =
-        mapping() == Mapping::GpuModelBased ? w_.full : w_.dense;
-    hw::GpuExecContext cx = w_.gpu_cx;
-    cx.pooling_scale = b.ps;
-    hw::GraphTiming t = cost_.gpuGraphTiming(g, b.items, cx);
-    double end = eq_.now() + t.latency_us * 1e-6 * slowdown_;
+    double latency_us = w_.gpuExecUs(b.items, b.ps);
+    double end = eq_.now() + latency_us * 1e-6 * slowdown_;
     chargeBins(gpu_busy_s_, eq_.now(), end, 1.0);
     for (const Chunk& c : b.chunks)
         if (c.query >= opt_.warmup_queries) {
-            exec_ms_.add(t.latency_us * 1e-3);
+            exec_ms_.add(latency_us * 1e-3);
             break;
         }
     eq_.schedule(end, Event{EventKind::ExecDone, static_cast<int>(tid),
@@ -574,7 +525,7 @@ ServerInstance::avgPowerBetween(double t0_s, double t1_s) const
 {
     if (t1_s <= t0_s)
         return 0.0;
-    double mem_denom = cost_.effectiveHostBwGbps(1) * 1e9;
+    double mem_denom = w_.cost().effectiveHostBwGbps(1) * 1e9;
     size_t bin_lo = binIndex(t0_s);
     size_t bin_hi = binIndex(std::nextafter(t1_s, t0_s));  // exclusive end
     OnlineStats power;
@@ -614,7 +565,7 @@ ServerInstance::finalize() const
     // ---- utilization + power over the steady window ---------------------
     size_t bin_lo = binIndex(t_begin);
     size_t bin_hi = binIndex(t_end);  // inclusive
-    double mem_denom = cost_.effectiveHostBwGbps(1) * 1e9;
+    double mem_denom = w_.cost().effectiveHostBwGbps(1) * 1e9;
 
     OnlineStats power_stats;
     OnlineStats cpu_u, mem_u, gpu_u, pcie_u, nmp_u;

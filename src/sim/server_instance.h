@@ -26,10 +26,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
-#include "hw/cost_model.h"
 #include "hw/power.h"
 #include "sim/event_queue.h"
 #include "sim/server_sim.h"
@@ -135,9 +133,9 @@ class ServerInstance
     /**
      * Straggler knob: multiply every *subsequent* service and transfer
      * duration by `factor` (>= 1). Applied at the usage sites, never to
-     * the service memos, so setSlowdown(1.0) is bit-identical to a
-     * server that never degraded. Work already scheduled keeps its
-     * original finish time.
+     * the workload's service-time table, so setSlowdown(1.0) is
+     * bit-identical to a server that never degraded. Work already
+     * scheduled keeps its original finish time.
      */
     void setSlowdown(double factor);
 
@@ -218,19 +216,6 @@ class ServerInstance
     static constexpr int kPoolCpu = 0;
     static constexpr int kPoolDense = 1;
 
-    /**
-     * Linear-in-pooling-scale service memo: CPU graph timings are
-     * computed at pooling scales 1 and 2 per batch size and
-     * interpolated, keeping cost-model calls out of the event loop.
-     */
-    struct ServiceMemoEntry
-    {
-        double lat1 = 0.0, lat2 = 0.0;
-        double bytes1 = 0.0, bytes2 = 0.0;
-        double nmp1 = 0.0, nmp2 = 0.0;
-        double idle_frac = 0.0;
-    };
-
     struct ServiceSample
     {
         double latency_us = 0.0;
@@ -293,9 +278,12 @@ class ServerInstance
     void startExec(size_t tid, uint32_t slot);
     void onExecDone(size_t tid, uint32_t slot);
 
+    /**
+     * CPU service of `items` items at pooling scale `query_ps`: the
+     * workload's table entry (PreparedWorkload::cpuService, timed at
+     * scales 1 and 2) interpolated linearly in the scale.
+     */
     ServiceSample cpuService(int pool_id, int items, double query_ps);
-    const model::Graph& poolGraph(int pool_id) const;
-    const hw::CpuExecContext& poolContext(int pool_id) const;
 
     void chargeBins(std::vector<double>& bins, double start_s,
                     double end_s, double weight);
@@ -316,7 +304,6 @@ class ServerInstance
     // ---- members --------------------------------------------------------
     const PreparedWorkload& w_;
     const SimOptions& opt_;
-    hw::CostModel cost_;
     hw::PowerModel power_;
     EventQueue<Event> eq_;
 
@@ -341,9 +328,6 @@ class ServerInstance
     double slowdown_ = 1.0;  ///< latency multiplier (fault injection)
     int shard_id_ = -1;      ///< observational tag (setIdentity)
     int service_id_ = 0;     ///< observational tag (setIdentity)
-
-    // pool_id: 0 = full graph, 1 = sparse, 2 = dense, 3 = cold sparse
-    std::unordered_map<int, ServiceMemoEntry> memo_[4];
 
     // resource usage bins
     static constexpr double kBinSeconds = 0.05;

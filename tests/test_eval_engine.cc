@@ -147,6 +147,54 @@ TEST(EvalEngine, SerialAndPooledEfficiencyTablesAreIdentical)
     EXPECT_TRUE(serial == pooled);
 }
 
+TEST(EvalEngine, GraphEvalsPinnedForSerialProfile)
+{
+    // The machine-independent work gate of the service-time table:
+    // the exact number of cost-model graph evaluations a fixed serial
+    // profile runs. A change may lower this pin (and update it), never
+    // raise it.
+    ProfilerOptions popt;
+    popt.search = fastSearch(1);
+    popt.servers = {ServerType::T2, ServerType::T3, ServerType::T7};
+    popt.models = {ModelId::DlrmRmc1, ModelId::DlrmRmc3};
+    popt.variant = model::Variant::Small;
+    EvalEngine engine(popt.search.eval);
+    popt.search.engine = &engine;
+
+    EfficiencyTable table = offlineProfile(popt);
+    ASSERT_EQ(table.size(), 6u);
+    EvalEngine::Stats st = engine.stats();
+    EXPECT_GT(st.misses, 0u);
+    EXPECT_EQ(st.graph_evals, 78793u);
+
+    // A replay is served from the memo and evaluates nothing.
+    offlineProfile(popt);
+    EXPECT_EQ(engine.stats().graph_evals, st.graph_evals);
+}
+
+TEST(EvalEngine, WarmWorkloadEvaluatesNoGraphs)
+{
+    // Probes of one measurement share the workload's table: once a
+    // simulation has filled it, repeating it evaluates no graph.
+    model::Model m = model::buildModel(ModelId::DlrmRmc1);
+    SchedulingConfig cfg;
+    cfg.cpu_threads = 8;
+    cfg.cores_per_thread = 2;
+    cfg.batch = 64;
+    sim::PreparedWorkload w =
+        sim::prepare(hw::serverSpec(ServerType::T2), m, cfg);
+    EXPECT_EQ(w.times.graphEvals(), 0u);
+    sim::SimOptions opt;
+    opt.offered_qps = 400.0;
+    opt.num_queries = 250;
+    opt.warmup_queries = 50;
+    sim::simulateServer(w, opt);
+    uint64_t warm = w.times.graphEvals();
+    EXPECT_GT(warm, 0u);
+    sim::simulateServer(w, opt);
+    EXPECT_EQ(w.times.graphEvals(), warm);
+}
+
 TEST(EvalEngine, ExhaustiveOracleMatchesAcrossThreadCounts)
 {
     model::Model m = model::buildModel(ModelId::DlrmRmc1);

@@ -510,6 +510,42 @@ TEST(Lint, E130ModelInfeasibleEverywhere)
     EXPECT_EQ(findCode(lint(s), "E130"), nullptr);
 }
 
+TEST(Lint, E131PeakFracWithoutCapacity)
+{
+    // The table has no row for the model on the fleet's type: E130
+    // cannot judge it, but a peak fraction has nothing to scale.
+    ScenarioSpec s = cleanSpec();
+    s.services[0].peak_qps_frac = 0.4;
+    core::EfficiencyTable t = tableWith(true, 100.0, 200.0);
+    s.fleet = {{ServerType::T1, 2}, {ServerType::T3, 1}};
+    expectDiagnostic(
+        s, "E131", Severity::Error, "services[0].peak_qps_frac",
+        "peak_qps_frac 0.4 has no capacity to scale: no fleet type with "
+        "slots (T1, T3) has a feasible efficiency-table row for "
+        "DLRM-RMC1",
+        &t);
+    // A feasible row on a zero-slot entry adds no capacity either.
+    s.fleet = {{ServerType::T2, 0}, {ServerType::T3, 1}};
+    EXPECT_NE(findCode(lint(s, &t), "E131"), nullptr);
+    // A model infeasible everywhere has no capacity either; with a
+    // finite cap the peak-demand check (W209) would resolve the peaks,
+    // so lint must stop short of resolvePeaks' fatal().
+    s.fleet = {{ServerType::T2, 2}};
+    core::EfficiencyTable none = tableWith(false, 0.0, 0.0);
+    s.serve.power_cap_w = 500.0;
+    std::vector<Diagnostic> ds = lint(s, &none);
+    EXPECT_NE(findCode(ds, "E130"), nullptr);
+    EXPECT_NE(findCode(ds, "E131"), nullptr);
+    // With capacity, or without a fraction, the check is silent.
+    EXPECT_EQ(findCode(lint(s, &t), "E131"), nullptr);
+    s.fleet = {{ServerType::T1, 2}};
+    s.services[0].peak_qps_frac = 0.0;
+    EXPECT_EQ(findCode(lint(s, &t), "E131"), nullptr);
+    // Table-free lint cannot judge capacity.
+    s.services[0].peak_qps_frac = 0.4;
+    EXPECT_EQ(findCode(lint(s), "E131"), nullptr);
+}
+
 TEST(Lint, W209CapBelowMustServePeakDemand)
 {
     ScenarioSpec s = cleanSpec();

@@ -783,6 +783,32 @@ TEST(ScenarioRun, UnsortedScheduleIsFatal)
     EXPECT_DEATH(run(spec, &table), "power_cap_schedule");
 }
 
+TEST(ScenarioRun, PeakFracWithoutCapacityNamesTheService)
+{
+    // No fleet type has a feasible RMC1 row: the fraction has nothing
+    // to scale, and the failure names the service and the fleet
+    // instead of a later "non-positive peak" deep in the load model.
+    core::EfficiencyTable table = goldenTable();
+    for (ServerType t : {ServerType::T1, ServerType::T2}) {
+        core::EfficiencyEntry e = *table.get(t, ModelId::DlrmRmc1);
+        e.feasible = false;
+        table.set(e);
+    }
+    ScenarioSpec spec = goldenSpec();
+    spec.services[0].name = "ranker";
+    spec.services[0].peak_qps_frac = 0.5;
+    EXPECT_DEATH(resolvePeaks(spec, table),
+                 "service 'ranker'.*DLRM-RMC1.*T2 x2, T1 x1");
+    EXPECT_DEATH(run(spec, &table), "service 'ranker'");
+    // Feasible rows on zero-slot types add no capacity either.
+    ScenarioSpec no_slots = goldenSpec();
+    no_slots.services[0].peak_qps_frac = 0.5;
+    for (FleetEntry& e : no_slots.fleet)
+        e.shard_slots = 0;
+    EXPECT_DEATH(resolvePeaks(no_slots, goldenTable()),
+                 "service 'DLRM-RMC1'");
+}
+
 TEST(ScenarioRun, PeakFracResolvesAgainstTable)
 {
     core::EfficiencyTable table = goldenTable();

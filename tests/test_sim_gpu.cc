@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "sim/measure.h"
 
 namespace hercules::sim {
@@ -204,6 +206,68 @@ TEST(GpuSdPipeline, TransfersPooledVectorsNotIndices)
     double dense_bytes = cost.gpuInputBytes(dense, 256, cx);
     double full_bytes = cost.gpuInputBytes(m.graph, 256, cx);
     EXPECT_LT(dense_bytes, full_bytes);
+}
+
+TEST(GpuServiceTimes, CompiledKernelsMatchCostModelExactly)
+{
+    // The workload's compiled GPU kernel list and input-byte terms
+    // must reproduce the cost model bit for bit (==, not NEAR) over
+    // every GPU server x zoo model x GPU mapping, at pooling scales
+    // that trip the max(1, .) pooling clamp and with the hot hit rate
+    // both 1 and below 1.
+    const double scales[] = {0.004, 0.05, 0.5, 1.0, 1.37, 3.1};
+    int covered = 0, cold = 0, hot = 0;
+    for (ServerType t : hw::allServerTypes()) {
+        const hw::ServerSpec& server = hw::serverSpec(t);
+        if (!server.hasGpu())
+            continue;
+        hw::CostModel cost(server);
+        for (ModelId id : model::allModels()) {
+            for (Variant v : {Variant::Prod, Variant::Small}) {
+                model::Model m = model::buildModel(id, v);
+                for (Mapping mapping :
+                     {Mapping::GpuModelBased, Mapping::GpuSdPipeline}) {
+                    SchedulingConfig cfg;
+                    cfg.mapping = mapping;
+                    cfg.gpu_threads = 2;
+                    cfg.cpu_threads = 2;
+                    cfg.fusion_limit = 1000;
+                    if (validateConfig(server, m, cfg))
+                        continue;
+                    PreparedWorkload w = prepare(server, m, cfg);
+                    const model::Graph& g =
+                        mapping == Mapping::GpuModelBased ? w.full
+                                                          : w.dense;
+                    ++covered;
+                    (w.gpu_cx.hot_hit_rate < 1.0 ? cold : hot) += 1;
+                    for (size_t si = 0; si < std::size(scales); ++si) {
+                        // Alternate the fill order across scales.
+                        for (int k = 1; k <= 256; ++k) {
+                            int items = si % 2 == 0 ? k : 257 - k;
+                            hw::GpuExecContext cx = w.gpu_cx;
+                            cx.pooling_scale = scales[si];
+                            ASSERT_EQ(w.gpuExecUs(items, scales[si]),
+                                      cost.gpuGraphTiming(g, items, cx)
+                                          .latency_us)
+                                << server.name << " " << m.name << " "
+                                << sched::mappingName(mapping)
+                                << " items " << items << " ps "
+                                << scales[si];
+                            ASSERT_EQ(w.gpuInputBytes(items, scales[si]),
+                                      cost.gpuInputBytes(g, items, cx))
+                                << server.name << " " << m.name << " "
+                                << sched::mappingName(mapping)
+                                << " items " << items << " ps "
+                                << scales[si];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(covered, 0);
+    EXPECT_GT(cold, 0) << "no workload with hot_hit_rate < 1";
+    EXPECT_GT(hot, 0) << "no workload with hot_hit_rate == 1";
 }
 
 /** Fusion capacity monotonicity across the three Fig 7 models. */
