@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "qos/admission.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "sim/cluster_sim.h"
@@ -322,6 +325,125 @@ TEST(Telemetry, AttachedSinkNeverPerturbsTheSimulation)
             EXPECT_GE(r.finish_s, r.arrival_s);
         }
     EXPECT_EQ(completed_spans, off.completed);
+}
+
+// ---- trace outcomes ------------------------------------------------------
+
+/**
+ * Two slow shards under deadline admission with overlapping crashes:
+ * the backlog draws rejects, the crashes kill in-flight queries, and
+ * the window where both shards are down drops arrivals.
+ */
+sim::ClusterSimResult
+runCrashingCluster(obs::Telemetry* telemetry)
+{
+    model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
+    sched::SchedulingConfig cfg;
+    cfg.mapping = sched::Mapping::CpuModelBased;
+    cfg.cpu_threads = 1;
+    cfg.cores_per_thread = 1;
+    cfg.batch = 64;
+    sim::PreparedWorkload w =
+        sim::prepare(hw::serverSpec(hw::ServerType::T2), m, cfg);
+
+    std::vector<workload::Query> trace(120);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = i;
+        trace[i].arrival_s = static_cast<double>(i + 1) * 0.004;
+        trace[i].size = 400;
+    }
+
+    sim::ClusterSim::Options copt;
+    copt.router = sim::RouterPolicy::RoundRobin;
+    copt.sla_ms = 25.0;
+    copt.admission.policy = qos::AdmissionPolicy::Deadline;
+    copt.telemetry = telemetry;
+    sim::ClusterSim cluster(copt);
+    cluster.addShard(w, 200.0);
+    cluster.addShard(w, 200.0);
+    cluster.scheduleHealth({
+        {0.1, 0, fault::HealthState::Failed, 1.0},
+        {0.15, 1, fault::HealthState::Failed, 1.0},
+        {0.25, 1, fault::HealthState::Healthy, 1.0},
+        {0.3, 0, fault::HealthState::Healthy, 1.0},
+    });
+    return cluster.run(trace, 0.1);
+}
+
+std::vector<obs::TraceRecord>
+traceCrashingCluster(double sample_rate, sim::ClusterSimResult* result)
+{
+    obs::ObsSpec spec;
+    spec.trace_file = "obs_test_crash_trace.jsonl";  // never written
+    spec.sample_rate = sample_rate;
+    obs::Telemetry telemetry(spec);
+    *result = runCrashingCluster(&telemetry);
+    return telemetry.traceRecords();
+}
+
+TEST(Telemetry, TraceOutcomesMatchRunAccounting)
+{
+    sim::ClusterSimResult all;
+    const std::vector<obs::TraceRecord> full = traceCrashingCluster(1.0, &all);
+    const size_t arrivals =
+        all.completed + all.dropped + all.rejected + all.failed_inflight;
+    ASSERT_EQ(arrivals, 120u);
+    // The scenario exercises every terminal outcome.
+    ASSERT_GT(all.completed, 0u);
+    ASSERT_GT(all.dropped, 0u);
+    ASSERT_GT(all.rejected, 0u);
+    ASSERT_GT(all.failed_inflight, 0u);
+
+    std::map<int, double> crash_at;
+    for (const sim::HealthTransition& h : all.health_transitions)
+        if (h.to == fault::HealthState::Failed)
+            crash_at.emplace(h.shard, h.t_s);
+    ASSERT_EQ(crash_at.size(), 2u);
+
+    for (double rate : {1.0, 0.3}) {
+        SCOPED_TRACE(rate);
+        sim::ClusterSimResult r;
+        const std::vector<obs::TraceRecord> recs =
+            rate == 1.0 ? full : traceCrashingCluster(rate, &r);
+
+        // Ids are exactly the sampled arrival sequence numbers, ascending.
+        std::vector<uint64_t> want_ids, ids;
+        for (uint64_t id = 0; id < arrivals; ++id)
+            if (obs::traceSampled(id, rate))
+                want_ids.push_back(id);
+        for (const obs::TraceRecord& rec : recs)
+            ids.push_back(rec.id);
+        EXPECT_EQ(ids, want_ids);
+
+        std::map<obs::TraceOutcome, size_t> count;
+        for (const obs::TraceRecord& rec : recs) {
+            ++count[rec.outcome];
+            // A sampled subset carries the full-rate span unchanged.
+            const obs::TraceRecord& f = full[rec.id];
+            EXPECT_EQ(rec.outcome, f.outcome);
+            EXPECT_EQ(rec.shard, f.shard);
+            EXPECT_EQ(rec.finish_s, f.finish_s);
+            EXPECT_EQ(rec.queue_wait_ms, f.queue_wait_ms);
+            if (rec.outcome == obs::TraceOutcome::Killed) {
+                ASSERT_EQ(crash_at.count(rec.shard), 1u);
+                EXPECT_EQ(rec.finish_s, crash_at[rec.shard]);
+                EXPECT_LT(rec.queue_wait_ms, 0.0);
+            }
+            if (rec.outcome == obs::TraceOutcome::Dropped ||
+                rec.outcome == obs::TraceOutcome::Rejected) {
+                EXPECT_EQ(rec.shard, -1);
+                EXPECT_EQ(rec.finish_s, rec.arrival_s);
+            }
+        }
+        EXPECT_EQ(count[obs::TraceOutcome::InFlight], 0u);
+        if (rate == 1.0) {
+            EXPECT_EQ(count[obs::TraceOutcome::Completed], all.completed);
+            EXPECT_EQ(count[obs::TraceOutcome::Dropped], all.dropped);
+            EXPECT_EQ(count[obs::TraceOutcome::Rejected], all.rejected);
+            EXPECT_EQ(count[obs::TraceOutcome::Killed],
+                      all.failed_inflight);
+        }
+    }
 }
 
 TEST(Telemetry, DisabledSpecAttachesNothing)
