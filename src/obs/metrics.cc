@@ -24,6 +24,29 @@ fmtNum(double v)
     return buf;
 }
 
+/**
+ * The first bucket whose upper bound is >= `value` (NaN and values at
+ * or below the first bound land in bucket 0, values above the last in
+ * the +Inf bucket). Bound i is bound 0 times 2^i exactly, i.e. bound
+ * 0's bit pattern plus i in the exponent field, and positive doubles
+ * order like their bit patterns: so the bucket is the bit distance
+ * from bound 0 in exponent steps, rounded up.
+ */
+size_t
+bucketIndex(double value)
+{
+    const std::vector<double>& bounds = MetricsRegistry::bucketBounds();
+    if (!(value > bounds.front()))
+        return 0;
+    if (value > bounds.back())
+        return bounds.size();
+    uint64_t v, b0;
+    std::memcpy(&v, &value, sizeof v);
+    std::memcpy(&b0, &bounds.front(), sizeof b0);
+    constexpr uint64_t kExpStep = uint64_t{1} << 52;
+    return static_cast<size_t>((v - b0 + kExpStep - 1) / kExpStep);
+}
+
 }  // namespace
 
 const char*
@@ -117,38 +140,32 @@ MetricsRegistry::at(int id)
 }
 
 void
-MetricsRegistry::add(int id, double delta)
-{
-    util::MutexLock lock(mu_);
-    Metric& m = at(id);
-    if (m.kind != MetricKind::Counter)
-        panic("MetricsRegistry: add() on non-counter '%s'", m.name.c_str());
-    m.value += delta;
-}
-
-void
 MetricsRegistry::set(int id, double value)
 {
     util::MutexLock lock(mu_);
     Metric& m = at(id);
-    if (m.kind != MetricKind::Gauge)
-        panic("MetricsRegistry: set() on non-gauge '%s'", m.name.c_str());
+    if (m.kind == MetricKind::Histogram)
+        panic("MetricsRegistry: set() on histogram '%s'", m.name.c_str());
+    if (m.kind == MetricKind::Counter && value < m.value)
+        panic("MetricsRegistry: counter '%s' set from %f down to %f",
+              m.name.c_str(), m.value, value);
     m.value = value;
 }
 
-void
-MetricsRegistry::observe(int id, double value)
+MetricsRegistry::Metric&
+MetricsRegistry::histogramAt(int id)
 {
-    util::MutexLock lock(mu_);
     Metric& m = at(id);
     if (m.kind != MetricKind::Histogram)
         panic("MetricsRegistry: observe() on non-histogram '%s'",
               m.name.c_str());
-    const std::vector<double>& bounds = bucketBounds();
-    size_t b = 0;
-    while (b < bounds.size() && value > bounds[b])
-        ++b;
-    ++m.buckets[b];
+    return m;
+}
+
+void
+MetricsRegistry::record(Metric& m, double value)
+{
+    ++m.buckets[bucketIndex(value)];
     if (m.count == 0) {
         m.min = value;
         m.max = value;
@@ -162,6 +179,13 @@ MetricsRegistry::observe(int id, double value)
     m.sum += value;
 }
 
+void
+MetricsRegistry::observe(int id, double value)
+{
+    util::MutexLock lock(mu_);
+    record(histogramAt(id), value);
+}
+
 double
 MetricsRegistry::value(int id) const
 {
@@ -170,13 +194,17 @@ MetricsRegistry::value(int id) const
 }
 
 void
-MetricsRegistry::sample(double t_s)
+MetricsRegistry::sample(double t_s, bool partial)
 {
     util::MutexLock lock(mu_);
     sample_times_.push_back(t_s);
-    for (Metric& m : metrics_)
-        if (m.kind != MetricKind::Histogram)
-            m.series.push_back(m.value);
+    for (Metric& m : metrics_) {
+        if (m.kind == MetricKind::Histogram)
+            continue;
+        m.series.push_back(m.value);
+        if (partial && m.kind == MetricKind::Gauge && m.series.size() > 1)
+            m.value = m.series[m.series.size() - 2];
+    }
 }
 
 const std::string&
@@ -224,13 +252,6 @@ MetricsRegistry::histogramSum(int id) const
 void
 MetricsRegistry::writePrometheus(std::FILE* f) const
 {
-    util::MutexLock lock(mu_);
-    writePrometheusLocked(f);
-}
-
-void
-MetricsRegistry::writePrometheusLocked(std::FILE* f) const
-{
     const std::vector<double>& bounds = bucketBounds();
     for (const Metric& m : metrics_) {
         std::fprintf(f, "# TYPE %s %s\n", m.name.c_str(),
@@ -262,13 +283,6 @@ MetricsRegistry::writePrometheusLocked(std::FILE* f) const
 void
 MetricsRegistry::writeCsv(std::FILE* f) const
 {
-    util::MutexLock lock(mu_);
-    writeCsvLocked(f);
-}
-
-void
-MetricsRegistry::writeCsvLocked(std::FILE* f) const
-{
     // Long-form time series: histograms have no series and are omitted
     // (use the Prometheus or JSON export for distribution data).
     std::fprintf(f, "t_s,name,value\n");
@@ -281,13 +295,6 @@ MetricsRegistry::writeCsvLocked(std::FILE* f) const
 
 void
 MetricsRegistry::writeJson(std::FILE* f) const
-{
-    util::MutexLock lock(mu_);
-    writeJsonLocked(f);
-}
-
-void
-MetricsRegistry::writeJsonLocked(std::FILE* f) const
 {
     const std::vector<double>& bounds = bucketBounds();
     std::fprintf(f, "{\n  \"sample_times_s\": [");
@@ -337,11 +344,11 @@ MetricsRegistry::writeFile(const std::string& path) const
     std::string ext = dot == std::string::npos ? "" : path.substr(dot);
     util::MutexLock lock(mu_);
     if (ext == ".csv")
-        writeCsvLocked(f);
+        writeCsv(f);
     else if (ext == ".json")
-        writeJsonLocked(f);
+        writeJson(f);
     else
-        writePrometheusLocked(f);
+        writePrometheus(f);
     std::fclose(f);
     return true;
 }

@@ -17,11 +17,11 @@
  *
  * Thread-safety: every method is internally synchronized on one
  * registry mutex (annotated, so Clang's -Werror=thread-safety checks
- * the discipline) — per-shard DES threads can update disjoint metrics
- * without external locking. The reference-returning read accessors
- * (series(), bucketCounts(), sampleTimes(), name()) hand out views
- * into guarded storage: they are for the post-run, single-threaded
- * export/analysis phase, not for use while writers are live.
+ * the discipline), so callers need no external locking. The
+ * reference-returning read accessors (series(), bucketCounts(),
+ * sampleTimes(), name()) hand out views into guarded storage: they are
+ * for the post-run, single-threaded export/analysis phase, not for use
+ * while writers are live.
  */
 #pragma once
 
@@ -56,23 +56,40 @@ class MetricsRegistry
     int gauge(const std::string& name) EXCLUDES(mu_);
     int histogram(const std::string& name) EXCLUDES(mu_);
 
-    /** Counter: add `delta` (>= 0). */
-    void add(int id, double delta) EXCLUDES(mu_);
-
-    /** Gauge: overwrite the current value. */
+    /**
+     * Gauge: overwrite the current value. Counter: take a running
+     * total kept elsewhere (panics if it would decrease).
+     */
     void set(int id, double value) EXCLUDES(mu_);
 
     /** Histogram: record one observation. */
     void observe(int id, double value) EXCLUDES(mu_);
+
+    /**
+     * Histogram: record `value(r)` for every r in [first, last), in
+     * order (the float sum depends on it), under one lock.
+     */
+    template <typename Record, typename Fn>
+    void observeEach(int id, const Record* first, const Record* last,
+                     Fn value) EXCLUDES(mu_)
+    {
+        util::MutexLock lock(mu_);
+        Metric& m = histogramAt(id);
+        for (; first != last; ++first)
+            record(m, value(*first));
+    }
 
     /** Current value of a counter or gauge. */
     double value(int id) const EXCLUDES(mu_);
 
     /**
      * Snapshot every counter and gauge into its time series, stamped
-     * `t_s` (simulated seconds). Call once per interval boundary.
+     * `t_s` (simulated seconds). Call once per interval boundary. A
+     * `partial` sample (a window shorter than an interval, such as a
+     * drain tail) is recorded in every series, but each gauge's current
+     * value stays its previous full sample.
      */
-    void sample(double t_s) EXCLUDES(mu_);
+    void sample(double t_s, bool partial = false) EXCLUDES(mu_);
 
     size_t
     numMetrics() const EXCLUDES(mu_)
@@ -112,10 +129,6 @@ class MetricsRegistry
      */
     static const std::vector<double>& bucketBounds();
 
-    void writePrometheus(std::FILE* f) const EXCLUDES(mu_);
-    void writeCsv(std::FILE* f) const EXCLUDES(mu_);
-    void writeJson(std::FILE* f) const EXCLUDES(mu_);
-
     /**
      * Write to `path`, format chosen by extension (.csv, .json, else
      * Prometheus text). @return false when the file cannot be opened.
@@ -138,11 +151,15 @@ class MetricsRegistry
 
     const Metric& at(int id) const REQUIRES(mu_);
     Metric& at(int id) REQUIRES(mu_);
+    /** at(id), panicking unless it is a histogram. */
+    Metric& histogramAt(int id) REQUIRES(mu_);
+    /** Add one observation to histogram `m`. */
+    static void record(Metric& m, double value);
 
-    /** Unlocked bodies of the exporters (writeFile holds mu_ once). */
-    void writePrometheusLocked(std::FILE* f) const REQUIRES(mu_);
-    void writeCsvLocked(std::FILE* f) const REQUIRES(mu_);
-    void writeJsonLocked(std::FILE* f) const REQUIRES(mu_);
+    /** The exporters, one per format (writeFile holds mu_). */
+    void writePrometheus(std::FILE* f) const REQUIRES(mu_);
+    void writeCsv(std::FILE* f) const REQUIRES(mu_);
+    void writeJson(std::FILE* f) const REQUIRES(mu_);
 
     mutable util::Mutex mu_;
     std::vector<Metric> metrics_ GUARDED_BY(mu_);  ///< registration order

@@ -75,193 +75,85 @@ Telemetry::serviceIds(int svc)
     return s;
 }
 
+Telemetry::ServiceIds
+Telemetry::serviceIdsOf(int svc)
+{
+    util::MutexLock lock(mu_);
+    return serviceIds(svc);
+}
+
 void
 Telemetry::declareService(int svc)
 {
-    util::MutexLock lock(mu_);
-    serviceIds(svc);
+    serviceIdsOf(svc);
 }
 
 void
 Telemetry::declareShard(int shard, int svc)
 {
     util::MutexLock lock(mu_);
-    shardIds(shard).svc = svc;
+    shardIds(shard);
     serviceIds(svc);
 }
 
-size_t
-Telemetry::newRecord(int svc, double t_s, TraceOutcome outcome)
-{
-    uint64_t id = arrival_seq_++;
-    if (!spec_.tracing() || !traceSampled(id, spec_.sample_rate))
-        return SIZE_MAX;
-    TraceRecord r;
-    r.id = id;
-    r.service = svc;
-    r.arrival_s = t_s;
-    r.outcome = outcome;
-    records_.push_back(r);
-    return records_.size() - 1;
-}
-
 void
-Telemetry::onDropped(int svc, double t_s)
-{
-    util::MutexLock lock(mu_);
-    metrics_.add(c_arrivals_, 1);
-    metrics_.add(c_dropped_, 1);
-    ServiceIds& s = serviceIds(svc);
-    metrics_.add(s.arrivals, 1);
-    metrics_.add(s.dropped, 1);
-    size_t ri = newRecord(svc, t_s, TraceOutcome::Dropped);
-    if (ri != SIZE_MAX)
-        records_[ri].finish_s = t_s;
-}
-
-void
-Telemetry::onRejected(int svc, double t_s)
-{
-    util::MutexLock lock(mu_);
-    metrics_.add(c_arrivals_, 1);
-    metrics_.add(c_rejected_, 1);
-    ServiceIds& s = serviceIds(svc);
-    metrics_.add(s.arrivals, 1);
-    metrics_.add(s.rejected, 1);
-    size_t ri = newRecord(svc, t_s, TraceOutcome::Rejected);
-    if (ri != SIZE_MAX)
-        records_[ri].finish_s = t_s;
-}
-
-void
-Telemetry::onAdmitted(int svc, int shard, int retry_hops, int inject_idx,
-                      double t_s)
-{
-    util::MutexLock lock(mu_);
-    metrics_.add(c_arrivals_, 1);
-    if (retry_hops > 0)
-        metrics_.add(c_retries_, retry_hops);
-    ServiceIds& s = serviceIds(svc);
-    metrics_.add(s.arrivals, 1);
-    ShardIds& sh = shardIds(shard);
-    metrics_.add(sh.injected, 1);
-    size_t ri = newRecord(svc, t_s, TraceOutcome::InFlight);
-    if (inject_idx < 0)
-        panic("Telemetry: negative inject index %d", inject_idx);
-    if (static_cast<size_t>(inject_idx) >= sh.open.size())
-        sh.open.resize(inject_idx + 1, SIZE_MAX);
-    sh.open[inject_idx] = ri;
-    if (ri != SIZE_MAX) {
-        records_[ri].shard = shard;
-        records_[ri].retry_hops = retry_hops;
-    }
-}
-
-void
-Telemetry::drainShardCompletions(
-    int shard, const std::vector<sim::ServerInstance::Completion>& log,
-    double up_to_s)
-{
-    util::MutexLock lock(mu_);
-    drainShardCompletionsLocked(shard, log, up_to_s);
-}
-
-void
-Telemetry::drainShardCompletionsLocked(
-    int shard, const std::vector<sim::ServerInstance::Completion>& log,
-    double up_to_s)
-{
-    ShardIds& sh = shardIds(shard);
-    while (sh.cursor < log.size() && log[sh.cursor].finish_s <= up_to_s) {
-        const sim::ServerInstance::Completion& c = log[sh.cursor++];
-        size_t qi = static_cast<size_t>(c.query);
-        size_t ri = qi < sh.open.size() ? sh.open[qi] : SIZE_MAX;
-        if (ri == SIZE_MAX)
-            continue;
-        TraceRecord& r = records_[ri];
-        r.outcome = TraceOutcome::Completed;
-        r.queue_wait_ms = c.queue_wait_s * 1e3;
-        r.service_start_s = c.arrival_s + c.queue_wait_s;
-        r.finish_s = c.finish_s;
-    }
-}
-
-void
-Telemetry::onCrash(int shard,
-                   const std::vector<sim::ServerInstance::Completion>& log,
-                   double t_s, size_t killed)
-{
-    addFailedInflight(killed);
-    util::MutexLock lock(mu_);
-    // Completions the harvest loop had not consumed yet still finished
-    // *before* the crash — close them normally first, then everything
-    // left open on this shard died with it.
-    drainShardCompletionsLocked(shard, log, t_s);
-    ShardIds& sh = shardIds(shard);
-    for (size_t ri : sh.open) {
-        if (ri == SIZE_MAX)
-            continue;
-        TraceRecord& r = records_[ri];
-        if (r.outcome != TraceOutcome::InFlight)
-            continue;
-        r.outcome = TraceOutcome::Killed;
-        r.finish_s = t_s;
-    }
-}
-
-void
-Telemetry::observeCompletion(int svc, double queue_wait_ms, double service_ms,
-                             double latency_ms)
-{
-    util::MutexLock lock(mu_);
-    metrics_.add(c_completions_, 1);
-    ServiceIds& s = serviceIds(svc);
-    metrics_.add(s.completions, 1);
-    metrics_.observe(s.h_wait, queue_wait_ms);
-    metrics_.observe(s.h_service, service_ms);
-    metrics_.observe(s.h_latency, latency_ms);
-}
-
-void
-Telemetry::setShardWindow(int shard, size_t queue_depth, int health)
+Telemetry::setShardWindow(int shard, size_t injected, size_t queue_depth,
+                          int health)
 {
     util::MutexLock lock(mu_);
     ShardIds& sh = shardIds(shard);
+    metrics_.set(sh.injected, static_cast<double>(injected));
     metrics_.set(sh.queue_depth, static_cast<double>(queue_depth));
     metrics_.set(sh.health, health);
 }
 
 void
-Telemetry::setServiceWindow(int svc, double p50_ms, double p99_ms,
+Telemetry::setServiceWindow(int svc, const ArrivalTotals& totals,
+                            double p50_ms, double p99_ms,
                             double sla_violation_rate)
 {
     util::MutexLock lock(mu_);
     ServiceIds& s = serviceIds(svc);
+    metrics_.set(s.arrivals, static_cast<double>(totals.arrivals));
+    metrics_.set(s.completions, static_cast<double>(totals.completions));
+    metrics_.set(s.dropped, static_cast<double>(totals.dropped));
+    metrics_.set(s.rejected, static_cast<double>(totals.rejected));
     metrics_.set(s.p50, p50_ms);
     metrics_.set(s.p99, p99_ms);
     metrics_.set(s.viol, sla_violation_rate);
 }
 
 void
-Telemetry::setClusterWindow(int active_shards, double consumed_power_w,
+Telemetry::setClusterWindow(const ArrivalTotals& totals,
+                            size_t failed_inflight, size_t admission_retries,
+                            int active_shards, double consumed_power_w,
                             double provisioned_power_w)
 {
+    metrics_.set(c_arrivals_, static_cast<double>(totals.arrivals));
+    metrics_.set(c_completions_, static_cast<double>(totals.completions));
+    metrics_.set(c_dropped_, static_cast<double>(totals.dropped));
+    metrics_.set(c_rejected_, static_cast<double>(totals.rejected));
+    metrics_.set(c_failed_inflight_, static_cast<double>(failed_inflight));
+    metrics_.set(c_retries_, static_cast<double>(admission_retries));
     metrics_.set(g_active_shards_, active_shards);
     metrics_.set(g_consumed_w_, consumed_power_w);
     metrics_.set(g_provisioned_w_, provisioned_power_w);
 }
 
 void
-Telemetry::commitSample(double t_s)
+Telemetry::commitSample(double t_s, bool drain_tail)
 {
-    metrics_.sample(t_s);
+    metrics_.sample(t_s, drain_tail);
 }
 
 void
-Telemetry::addFailedInflight(size_t killed)
+Telemetry::addTraceRecords(std::vector<TraceRecord> records)
 {
-    if (killed)
-        metrics_.add(c_failed_inflight_, static_cast<double>(killed));
+    util::MutexLock lock(mu_);
+    if (records_.empty())
+        records_ = std::move(records);
+    else
+        records_.insert(records_.end(), records.begin(), records.end());
 }
 
 bool

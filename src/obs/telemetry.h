@@ -1,17 +1,23 @@
 /**
  * @file
- * Telemetry facade: the single object the serving stack talks to. Owns
- * a MetricsRegistry and the per-query TraceRecord log, and exposes the
- * hooks ClusterSim calls at routing, harvest, and crash time.
+ * Telemetry facade: the single object the serving stack reports to.
+ * Owns a MetricsRegistry and the per-query TraceRecord log.
  *
- * Contract: every hook only *observes*. No RNG draws, no event
+ * Telemetry keeps no accounting of its own. ClusterSim is its only
+ * caller, from two places: the serial harvest loop of ClusterSim::run
+ * (histogram observations, then one interval sample per boundary whose
+ * counters are ClusterSim's running totals) and the end of the run
+ * (the trace records ClusterSim joined from its sampled arrivals, its
+ * shards' completion logs and its health log).
+ *
+ * Contract: every call only *observes*. No RNG draws, no event
  * scheduling, no mutation of simulated state — so a run with telemetry
  * attached produces bit-identical simulated statistics to one without.
  * ClusterSim guards each call site with a null check; a null Telemetry
  * pointer is the (default) off switch.
  *
- * Thread-safety: the trace log, shard/service id tables and arrival
- * sequence are guarded by one facade mutex (annotated for Clang's
+ * Thread-safety: the trace log and the shard/service id tables are
+ * guarded by one facade mutex (annotated for Clang's
  * -Werror=thread-safety); the owned MetricsRegistry synchronizes
  * itself. Lock order is Telemetry::mu_ -> MetricsRegistry::mu_ and
  * the registry never calls back, so the pair cannot deadlock. The
@@ -25,11 +31,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-// obs sits below sim in layers.json; this one up-edge exists because
-// drainShardCompletions() consumes sim's Completion log type directly
-// instead of copying it into an obs-owned mirror struct per harvest.
-// layer-lint: allow(sim)
-#include "sim/server_instance.h"
 #include "util/thread_annotations.h"
 
 namespace hercules::obs {
@@ -49,6 +50,15 @@ struct ObsSpec
         return !trace_file.empty() || !metrics_file.empty();
     }
     bool tracing() const { return !trace_file.empty(); }
+};
+
+/** Running arrival totals of one scope (cluster or service). */
+struct ArrivalTotals
+{
+    size_t arrivals = 0;  ///< routed: admitted + dropped + rejected
+    size_t completions = 0;
+    size_t dropped = 0;
+    size_t rejected = 0;
 };
 
 class Telemetry
@@ -71,51 +81,36 @@ class Telemetry
     void declareService(int svc) EXCLUDES(mu_);
     void declareShard(int shard, int svc) EXCLUDES(mu_);
 
-    /** Routing-time verdicts. One of these fires per arrival. */
-    void onDropped(int svc, double t_s) EXCLUDES(mu_);
-    void onRejected(int svc, double t_s) EXCLUDES(mu_);
     /**
-     * Query admitted onto `shard` after `retry_hops` cross-shard
-     * retries; `inject_idx` is ServerInstance::inject()'s per-shard
-     * injection index, the key completions are matched back with.
+     * Feed one shard's completions of one harvest into service `svc`'s
+     * latency histograms, in log order (a histogram's float `_sum`
+     * depends on it). `Completion` is any record with `queue_wait_s`
+     * (seconds), `latencyMs()` and `serviceMs()`: sim's completion log
+     * entry.
      */
-    void onAdmitted(int svc, int shard, int retry_hops, int inject_idx,
-                    double t_s) EXCLUDES(mu_);
+    template <typename Completion>
+    void observeCompletions(int svc, const Completion* first,
+                            const Completion* last) EXCLUDES(mu_);
 
-    /**
-     * Close trace spans for `shard` completions with finish <= up_to_s.
-     * Uses its own cursor into the shard's completion log, independent
-     * of the harvest cursor, so crash-time draining and harvest-time
-     * draining compose.
-     */
-    void drainShardCompletions(
-        int shard, const std::vector<sim::ServerInstance::Completion>& log,
-        double up_to_s) EXCLUDES(mu_);
-
-    /**
-     * Shard crashed at `t_s` with `killed` queries in flight: close
-     * spans that completed before the crash, then mark every span still
-     * open on the shard as Killed.
-     */
-    void onCrash(int shard,
-                 const std::vector<sim::ServerInstance::Completion>& log,
-                 double t_s, size_t killed) EXCLUDES(mu_);
-
-    /** One harvested completion's latency decomposition (histograms). */
-    void observeCompletion(int svc, double queue_wait_ms, double service_ms,
-                           double latency_ms) EXCLUDES(mu_);
-
-    /** Interval-boundary gauge updates, then commitSample() stamps them. */
-    void setShardWindow(int shard, size_t queue_depth, int health)
-        EXCLUDES(mu_);
-    void setServiceWindow(int svc, double p50_ms, double p99_ms,
+    /** Interval-boundary values, then commitSample() stamps them. */
+    void setShardWindow(int shard, size_t injected, size_t queue_depth,
+                        int health) EXCLUDES(mu_);
+    void setServiceWindow(int svc, const ArrivalTotals& totals,
+                          double p50_ms, double p99_ms,
                           double sla_violation_rate) EXCLUDES(mu_);
-    void setClusterWindow(int active_shards, double consumed_power_w,
+    void setClusterWindow(const ArrivalTotals& totals,
+                          size_t failed_inflight, size_t admission_retries,
+                          int active_shards, double consumed_power_w,
                           double provisioned_power_w);
-    void commitSample(double t_s);
+    /**
+     * Snapshot every counter and gauge at `t_s`. The drain-tail sample
+     * stays in the series, but each gauge's run-level value remains
+     * its last full-interval sample.
+     */
+    void commitSample(double t_s, bool drain_tail);
 
-    /** Record crash-killed in-flight count (cluster.failed_inflight). */
-    void addFailedInflight(size_t killed);
+    /** Append a finished run's trace records (in arrival order). */
+    void addTraceRecords(std::vector<TraceRecord> records) EXCLUDES(mu_);
 
     /** Emit the configured files; no-ops when the path is empty. */
     bool writeTraceFile() const EXCLUDES(mu_);
@@ -124,14 +119,9 @@ class Telemetry
   private:
     struct ShardIds
     {
-        int svc = 0;
         int injected = -1;     ///< counter
         int queue_depth = -1;  ///< gauge
         int health = -1;       ///< gauge
-        /** injection index -> trace record index (SIZE_MAX = unsampled). */
-        std::vector<size_t> open;
-        /** completion-log entries already drained into trace records. */
-        size_t cursor = 0;
     };
     struct ServiceIds
     {
@@ -149,13 +139,8 @@ class Telemetry
 
     ShardIds& shardIds(int shard) REQUIRES(mu_);
     ServiceIds& serviceIds(int svc) REQUIRES(mu_);
-    /** Next arrival sequence number + its sampling verdict. */
-    size_t newRecord(int svc, double t_s, TraceOutcome outcome)
-        REQUIRES(mu_);
-    /** Body of drainShardCompletions (onCrash calls it under mu_). */
-    void drainShardCompletionsLocked(
-        int shard, const std::vector<sim::ServerInstance::Completion>& log,
-        double up_to_s) REQUIRES(mu_);
+    /** Copy of service `svc`'s ids (for the unlocked histogram loop). */
+    ServiceIds serviceIdsOf(int svc) EXCLUDES(mu_);
 
     ObsSpec spec_;  ///< immutable after construction
     MetricsRegistry metrics_;  ///< internally synchronized (own mutex)
@@ -163,7 +148,6 @@ class Telemetry
     std::vector<TraceRecord> records_ GUARDED_BY(mu_);
     std::vector<ShardIds> shards_ GUARDED_BY(mu_);
     std::vector<ServiceIds> services_ GUARDED_BY(mu_);
-    uint64_t arrival_seq_ GUARDED_BY(mu_) = 0;
 
     // Cluster-wide metric ids: set once in the constructor, immutable
     // after, so reads need no lock.
@@ -177,5 +161,24 @@ class Telemetry
     int g_consumed_w_;
     int g_provisioned_w_;
 };
+
+template <typename Completion>
+void
+Telemetry::observeCompletions(int svc, const Completion* first,
+                              const Completion* last)
+{
+    if (first == last)
+        return;
+    const ServiceIds s = serviceIdsOf(svc);
+    metrics_.observeEach(s.h_wait, first, last, [](const Completion& c) {
+        return c.queue_wait_s * 1e3;
+    });
+    metrics_.observeEach(s.h_service, first, last, [](const Completion& c) {
+        return c.serviceMs();
+    });
+    metrics_.observeEach(s.h_latency, first, last, [](const Completion& c) {
+        return c.latencyMs();
+    });
+}
 
 }  // namespace hercules::obs

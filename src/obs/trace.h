@@ -35,6 +35,7 @@ struct TraceRecord
     int service = 0;      ///< service class index
     int shard = -1;       ///< shard served on; -1 = never admitted
     int retry_hops = 0;   ///< cross-shard admission retries before landing
+    TraceOutcome outcome = TraceOutcome::InFlight;
     double arrival_s = 0.0;
     /** Queue wait (arrival -> service start); < 0 = never started. */
     double queue_wait_ms = -1.0;
@@ -42,7 +43,6 @@ struct TraceRecord
     double service_start_s = -1.0;
     /** Completion / drop / reject / kill time; < 0 = still open. */
     double finish_s = -1.0;
-    TraceOutcome outcome = TraceOutcome::InFlight;
 
     /** End-to-end latency (finish - arrival) in ms; 0 when still open. */
     double latencyMs() const

@@ -180,6 +180,7 @@ ClusterSim::ClusterSim(Options opt)
     shard_opt_.record_completions = true;
     shard_opt_.abort_tail_ms = 0.0;
     shard_opt_.saturate = false;
+    tracing_ = opt_.telemetry && opt_.telemetry->spec().tracing();
 }
 
 void
@@ -214,7 +215,6 @@ ClusterSim::addShard(const PreparedWorkload& w, double weight_qps,
     int id = static_cast<int>(shards_.size());
     Shard s;
     s.inst = std::make_unique<ServerInstance>(w, shard_opt_);
-    s.inst->setIdentity(id, service);
     if (opt_.telemetry)
         opt_.telemetry->declareShard(id, service);
     s.workload = &w;
@@ -320,9 +320,6 @@ ClusterSim::applyHealthEventsUpTo(double t_s)
             service_state_[static_cast<size_t>(s.service)]
                 .failed_inflight += killed;
             s.failed_at = ev.t_s;
-            if (opt_.telemetry)
-                opt_.telemetry->onCrash(ev.shard, s.inst->completions(),
-                                        ev.t_s, killed);
         }
         s.inst->setSlowdown(slow);
         s.slowdown = slow;
@@ -374,12 +371,6 @@ ClusterSim::serviceClass(int service) const
     return qos::ServiceClass{};
 }
 
-int
-ClusterSim::shardService(int shard) const
-{
-    return shards_[static_cast<size_t>(shard)].service;
-}
-
 double
 ClusterSim::slaMs(int service) const
 {
@@ -426,8 +417,7 @@ ClusterSim::route(const workload::Query& q)
     if (s < 0) {
         ++dropped_;
         ++service_state_[static_cast<size_t>(svc)].dropped;
-        if (opt_.telemetry)
-            opt_.telemetry->onDropped(svc, q.arrival_s);
+        traceArrival(q, obs::TraceOutcome::Dropped);
         return -1;
     }
     // Admission control on the picked shard: a refused query is
@@ -464,8 +454,7 @@ ClusterSim::route(const workload::Query& q)
         if (retry < 0) {
             ++rejected_;
             ++service_state_[static_cast<size_t>(svc)].rejected;
-            if (opt_.telemetry)
-                opt_.telemetry->onRejected(svc, q.arrival_s);
+            traceArrival(q, obs::TraceOutcome::Rejected);
             return -2;
         }
         s = retry;
@@ -477,10 +466,22 @@ ClusterSim::route(const workload::Query& q)
     ++injected_;
     ++service_state_[static_cast<size_t>(svc)].injected;
     ++injected_per_shard_[static_cast<size_t>(s)];
-    if (opt_.telemetry)
-        opt_.telemetry->onAdmitted(svc, s, retry_hops, inject_idx,
-                                   q.arrival_s);
+    traceArrival(q, obs::TraceOutcome::InFlight, s, inject_idx, retry_hops);
     return s;
+}
+
+void
+ClusterSim::traceArrival(const workload::Query& q, obs::TraceOutcome verdict,
+                         int shard, int inject_idx, int retry_hops)
+{
+    if (!tracing_)
+        return;
+    // The verdict is already counted, so the arrivals routed before
+    // this one are all counted arrivals but itself.
+    const uint64_t seq = injected_ + dropped_ + rejected_ - 1;
+    if (obs::traceSampled(seq, opt_.telemetry->spec().sample_rate))
+        traced_.push_back({seq, q.arrival_s, q.service_id, shard,
+                           inject_idx, retry_hops, verdict});
 }
 
 void
@@ -534,12 +535,12 @@ ClusterSim::harvest(double t0_s, double t1_s)
     const bool feedback = opt_.router == RouterPolicy::LatencyFeedback;
     double consumed = 0.0;
     for (Shard& s : shards_) {
-        const int sid = static_cast<int>(&s - shards_.data());
         const size_t v = static_cast<size_t>(s.service);
         const double sla = slaMs(s.service);
         const auto& done = s.inst->completions();
         double last_finish_in_window = t0_s;
         PercentileTracker shard_lat;  ///< this shard, this window
+        const size_t first = s.harvest_cursor;
         while (s.harvest_cursor < done.size() &&
                done[s.harvest_cursor].finish_s <= t1_s) {
             const auto& c = done[s.harvest_cursor++];
@@ -557,14 +558,11 @@ ClusterSim::harvest(double t0_s, double t1_s)
             }
             last_finish_in_window = std::max(last_finish_in_window,
                                              c.finish_s);
-            if (opt_.telemetry) {
-                const double wait_ms = c.queue_wait_s * 1e3;
-                opt_.telemetry->observeCompletion(s.service, wait_ms,
-                                                  ms - wait_ms, ms);
-            }
         }
         if (opt_.telemetry)
-            opt_.telemetry->drainShardCompletions(sid, done, t1_s);
+            opt_.telemetry->observeCompletions(
+                s.service, done.data() + first,
+                done.data() + s.harvest_cursor);
         // Latency feedback: fold this window's observed p99 into the
         // shard's routing weight (multiplicative, bounded by the tuple
         // weight above and the configured floor below). A window with
@@ -668,6 +666,58 @@ ClusterSim::checkConservation() const
               routed, injected_, dropped_, rejected_);
 }
 
+void
+ClusterSim::emitTrace()
+{
+    // Completion-log position of every injected query, per shard (-1:
+    // never completed).
+    std::vector<std::vector<int>> done_at(shards_.size());
+    for (size_t i = 0; i < shards_.size(); ++i) {
+        const auto& log = shards_[i].inst->completions();
+        done_at[i].assign(shards_[i].inst->injected(), -1);
+        for (size_t k = 0; k < log.size(); ++k)
+            done_at[i][static_cast<size_t>(log[k].query)] = static_cast<int>(k);
+    }
+    std::vector<obs::TraceRecord> records;
+    records.reserve(traced_.size());
+    for (const TracedArrival& a : traced_) {
+        obs::TraceRecord& r = records.emplace_back();
+        r.id = a.seq;
+        r.service = a.service;
+        r.shard = a.shard;
+        r.retry_hops = a.retry_hops;
+        r.outcome = a.verdict;
+        r.arrival_s = a.t_s;
+        if (a.verdict != obs::TraceOutcome::InFlight) {
+            r.finish_s = a.t_s;  // dropped or rejected on arrival
+            continue;
+        }
+        const size_t s = static_cast<size_t>(a.shard);
+        const int ci = done_at[s][static_cast<size_t>(a.inject_idx)];
+        if (ci >= 0) {
+            const ServerInstance::Completion& c =
+                shards_[s].inst->completions()[static_cast<size_t>(ci)];
+            r.outcome = obs::TraceOutcome::Completed;
+            r.queue_wait_ms = c.queue_wait_s * 1e3;
+            r.service_start_s = c.arrival_s + c.queue_wait_s;
+            r.finish_s = c.finish_s;
+            continue;
+        }
+        // No completion: the shard's first crash after the arrival
+        // killed it; with no such crash it is still in flight.
+        for (const HealthTransition& h : health_log_) {
+            if (h.shard == a.shard && h.to == fault::HealthState::Failed &&
+                h.t_s >= a.t_s) {
+                r.outcome = obs::TraceOutcome::Killed;
+                r.finish_s = h.t_s;
+                break;
+            }
+        }
+    }
+    traced_.clear();
+    opt_.telemetry->addTraceRecords(std::move(records));
+}
+
 ClusterSimResult
 ClusterSim::run(const std::vector<workload::Query>& trace,
                 double interval_s, const IntervalPlanFn& plan,
@@ -681,26 +731,39 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
     obs::WallTimer run_timer;
     double route_wall = 0.0, advance_wall = 0.0, harvest_wall = 0.0;
 
-    // Interval-boundary gauge snapshot (after the plan's provisioned
-    // power is known); null telemetry makes this a no-op.
-    auto sampleTelemetry = [&](const IntervalStats& st) {
+    // Interval-boundary telemetry sample (after the plan's provisioned
+    // power is known): the running totals as counters, the window as
+    // gauges. Null telemetry makes this a no-op.
+    auto sampleTelemetry = [&](const IntervalStats& st, bool drain_tail) {
         obs::Telemetry* tel = opt_.telemetry;
         if (!tel)
             return;
         for (size_t i = 0; i < shards_.size(); ++i)
-            tel->setShardWindow(static_cast<int>(i),
+            tel->setShardWindow(static_cast<int>(i), injected_per_shard_[i],
                                 shards_[i].inst->outstanding(),
                                 static_cast<int>(shards_[i].health));
-        for (size_t v = 0; v < st.services.size(); ++v)
-            tel->setServiceWindow(static_cast<int>(v), st.services[v].p50_ms,
-                                  st.services[v].p99_ms,
-                                  st.services[v].sla_violation_rate);
-        tel->setClusterWindow(st.active_shards, st.consumed_power_w,
+        for (size_t v = 0; v < st.services.size(); ++v) {
+            const ServiceState& ss = service_state_[v];
+            tel->setServiceWindow(
+                static_cast<int>(v),
+                {ss.routed, ss.latency_ms.count(), ss.dropped, ss.rejected},
+                st.services[v].p50_ms, st.services[v].p99_ms,
+                st.services[v].sla_violation_rate);
+        }
+        tel->setClusterWindow({injected_ + dropped_ + rejected_,
+                               all_latency_ms_.count(), dropped_, rejected_},
+                              failed_inflight_, admission_retries_,
+                              st.active_shards, st.consumed_power_w,
                               st.provisioned_power_w);
-        tel->commitSample(st.t1_s);
+        tel->commitSample(st.t1_s, drain_tail);
     };
 
     ClusterSimResult r;
+    if (tracing_)  // room for the expected number of sampled arrivals
+        traced_.reserve(traced_.size() +
+                        static_cast<size_t>(
+                            static_cast<double>(trace.size()) *
+                            opt_.telemetry->spec().sample_rate));
     size_t cursor = 0;
     int k = 0;
     while (cursor < trace.size() ||
@@ -743,7 +806,7 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
             st.budget_power_w = p.budget_power_w;
             st.power_capped = p.power_capped;
         }
-        sampleTelemetry(st);
+        sampleTelemetry(st, false);
         r.intervals.push_back(st);
         ++k;
     }
@@ -762,11 +825,13 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         IntervalStats tail = harvest(tail_start, tail_end);
         harvest_wall += tail_timer.elapsedMs();
         if (tail.completions > 0 || tail.arrivals > 0) {
-            sampleTelemetry(tail);
+            sampleTelemetry(tail, true);
             r.intervals.push_back(tail);
         }
     }
     checkConservation();
+    if (tracing_)
+        emitTrace();
 
     r.injected = injected_;
     r.dropped = dropped_;

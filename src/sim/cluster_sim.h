@@ -57,6 +57,7 @@
 
 #include "fault/fault.h"
 #include "obs/self_profile.h"
+#include "obs/trace.h"
 #include "qos/admission.h"
 #include "qos/qos.h"
 #include "sim/server_instance.h"
@@ -328,9 +329,11 @@ class ClusterSim
         SimOptions shard_sim{};
         /**
          * Optional telemetry sink (src/obs/). Not owned; may be null
-         * (the default = telemetry off). Every call into it only
-         * *observes* — with or without a sink, all simulated statistics
-         * are bit-identical.
+         * (the default = telemetry off). run() feeds it from the
+         * harvest loop and, when it traces, hands it the joined trace
+         * records at the end. Every call into it only *observes* —
+         * with or without a sink, all simulated statistics are
+         * bit-identical.
          */
         obs::Telemetry* telemetry = nullptr;
     };
@@ -406,8 +409,6 @@ class ClusterSim
      * LatencyFeedback policy consults it.
      */
     double feedbackWeight(int shard) const;
-    /** @return the service a shard serves. */
-    int shardService(int shard) const;
     /** @return the SLA (ms) service `service` is held to. */
     double slaMs(int service) const;
     /** @return the QoS class of service `service` (default if unset). */
@@ -502,10 +503,33 @@ class ClusterSim
         size_t violations = 0;         ///< whole-run late completions
     };
 
+    /**
+     * One traced arrival's routing verdict. Appended by route() only
+     * for arrivals obs::traceSampled() keeps; run() joins the entries
+     * with the completion logs and the health log into TraceRecords.
+     */
+    struct TracedArrival
+    {
+        uint64_t seq = 0;  ///< arrivals routed before this one
+        double t_s = 0.0;
+        int service = 0;
+        int shard = -1;       ///< -1 unless admitted
+        int inject_idx = -1;  ///< shard's injection index; -1 unless admitted
+        int retry_hops = 0;
+        /** Dropped, Rejected, or InFlight for an admitted arrival. */
+        obs::TraceOutcome verdict = obs::TraceOutcome::InFlight;
+    };
+
     void ensureService(int service);
     void rebuildActive();
     /** Panic unless every arrival is accounted for (end of run()). */
     void checkConservation() const;
+    /** Append `q` to traced_ when tracing samples it (after counting). */
+    void traceArrival(const workload::Query& q, obs::TraceOutcome verdict,
+                      int shard = -1, int inject_idx = -1,
+                      int retry_hops = 0);
+    /** Join traced_ into TraceRecords and hand them to the telemetry. */
+    void emitTrace();
 
     Options opt_;
     SimOptions shard_opt_;  ///< shared by all shard instances
@@ -530,6 +554,10 @@ class ClusterSim
     // run() aggregates
     PercentileTracker all_latency_ms_;
     size_t all_violations_ = 0;  ///< late completions (drops added later)
+
+    // tracing (Options::telemetry with a trace file)
+    bool tracing_ = false;
+    std::vector<TracedArrival> traced_;  ///< ascending seq
 };
 
 }  // namespace hercules::sim

@@ -282,8 +282,6 @@ ServerInstance::queryPartDone(int qidx)
     if (opt_.record_completions) {
         Completion c;
         c.query = qidx;
-        c.shard = shard_id_;
-        c.service = service_id_;
         c.arrival_s = q.arrival;
         c.finish_s = now;
         c.queue_wait_s = q.started ? q.enqueue_done - q.arrival : 0.0;

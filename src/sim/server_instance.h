@@ -55,8 +55,6 @@ class ServerInstance
     struct Completion
     {
         int query = -1;        ///< injection index
-        int shard = -1;        ///< owning shard id (see setIdentity)
-        int service = 0;       ///< owning service class (see setIdentity)
         double arrival_s = 0.0;
         double finish_s = 0.0;
         /** Dispatcher/fusion queue wait before first service start. */
@@ -68,17 +66,6 @@ class ServerInstance
         /** @return latency minus queue wait, in milliseconds. */
         double serviceMs() const { return latencyMs() - queue_wait_s * 1e3; }
     };
-
-    /**
-     * Tag this instance with its cluster position; stamped onto every
-     * Completion so latency decomposes per shard/service downstream.
-     * Purely observational — never read by the simulation itself.
-     */
-    void setIdentity(int shard, int service)
-    {
-        shard_id_ = shard;
-        service_id_ = service;
-    }
 
     /**
      * Inject one query; its arrival event fires at q.arrival_s.
@@ -326,8 +313,6 @@ class ServerInstance
     int host_stage_idle_ = 0;
     double pcie_free_ = 0.0;
     double slowdown_ = 1.0;  ///< latency multiplier (fault injection)
-    int shard_id_ = -1;      ///< observational tag (setIdentity)
-    int service_id_ = 0;     ///< observational tag (setIdentity)
 
     // resource usage bins
     static constexpr double kBinSeconds = 0.05;

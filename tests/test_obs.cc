@@ -8,7 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -63,13 +65,14 @@ TEST(MetricsRegistry, CounterGaugeHistogramUpdate)
     int c = reg.counter("c");
     int g = reg.gauge("g");
     int h = reg.histogram("h");
-    reg.add(c, 3.0);
-    reg.add(c, 2.0);
+    reg.set(c, 3.0);  // a counter takes a running total kept elsewhere
+    reg.set(c, 5.0);
     reg.set(g, 7.5);
     reg.set(g, 4.25);
     reg.observe(h, 0.5);
     reg.observe(h, 100.0);
     EXPECT_DOUBLE_EQ(reg.value(c), 5.0);
+    EXPECT_DEATH(reg.set(c, 4.0), "down to");
     EXPECT_DOUBLE_EQ(reg.value(g), 4.25);
     EXPECT_EQ(reg.histogramCount(h), 2u);
     EXPECT_DOUBLE_EQ(reg.histogramSum(h), 100.5);
@@ -79,9 +82,9 @@ TEST(MetricsRegistry, SamplingAlignsSeriesAndBackfillsLateMetrics)
 {
     obs::MetricsRegistry reg;
     int c = reg.counter("early");
-    reg.add(c, 1.0);
+    reg.set(c, 1.0);
     reg.sample(10.0);
-    reg.add(c, 1.0);
+    reg.set(c, 2.0);
     reg.sample(20.0);
 
     // A metric declared after two samples back-fills with zeros so
@@ -116,11 +119,33 @@ TEST(MetricsRegistry, HistogramBucketsAreFixedAndLogSpaced)
     EXPECT_EQ(counts.back(), 1u);
 }
 
+TEST(MetricsRegistry, BucketOfEveryEdgeMatchesBoundScan)
+{
+    const std::vector<double>& bounds = obs::MetricsRegistry::bucketBounds();
+    std::vector<double> values = {0.0, -1.0, 1e-300, 5e-324, 1e300,
+                                  std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::quiet_NaN()};
+    for (double b : bounds)
+        for (double v : {b, std::nextafter(b, 0.0), std::nextafter(b, 1e9),
+                         b * 1.5, b * 0.75})
+            values.push_back(v);
+    for (double v : values) {
+        // The reference: the first bound >= v, else the +Inf bucket.
+        size_t want = 0;
+        while (want < bounds.size() && v > bounds[want])
+            ++want;
+        obs::MetricsRegistry reg;
+        int h = reg.histogram("h");
+        reg.observe(h, v);
+        EXPECT_EQ(reg.bucketCounts(h)[want], 1u) << v;
+    }
+}
+
 TEST(MetricsRegistry, PrometheusExportSchema)
 {
     obs::MetricsRegistry reg;
     int c = reg.counter("cluster.arrivals");
-    reg.add(c, 12.0);
+    reg.set(c, 12.0);
     int h = reg.histogram("svc.0.latency_ms");
     reg.observe(h, 0.5);
 
@@ -142,7 +167,7 @@ TEST(MetricsRegistry, CsvExportIsLongForm)
 {
     obs::MetricsRegistry reg;
     int c = reg.counter("c");
-    reg.add(c, 2.0);
+    reg.set(c, 2.0);
     reg.sample(60.0);
 
     std::string path = "obs_test_metrics.csv";
@@ -332,7 +357,9 @@ TEST(Telemetry, AttachedSinkNeverPerturbsTheSimulation)
 /**
  * Two slow shards under deadline admission with overlapping crashes:
  * the backlog draws rejects, the crashes kill in-flight queries, and
- * the window where both shards are down drops arrivals.
+ * the window where both shards are down drops arrivals. Shard 0
+ * crashes a second time, so a kill must be dated by the first crash
+ * after its query's arrival.
  */
 sim::ClusterSimResult
 runCrashingCluster(obs::Telemetry* telemetry)
@@ -366,6 +393,8 @@ runCrashingCluster(obs::Telemetry* telemetry)
         {0.15, 1, fault::HealthState::Failed, 1.0},
         {0.25, 1, fault::HealthState::Healthy, 1.0},
         {0.3, 0, fault::HealthState::Healthy, 1.0},
+        {0.42, 0, fault::HealthState::Failed, 1.0},
+        {0.45, 0, fault::HealthState::Healthy, 1.0},
     });
     return cluster.run(trace, 0.1);
 }
@@ -394,11 +423,15 @@ TEST(Telemetry, TraceOutcomesMatchRunAccounting)
     ASSERT_GT(all.rejected, 0u);
     ASSERT_GT(all.failed_inflight, 0u);
 
-    std::map<int, double> crash_at;
-    for (const sim::HealthTransition& h : all.health_transitions)
-        if (h.to == fault::HealthState::Failed)
-            crash_at.emplace(h.shard, h.t_s);
-    ASSERT_EQ(crash_at.size(), 2u);
+    // The first crash of `shard` after `t_s`; -1 when there is none.
+    auto crashAfter = [&](int shard, double t_s) {
+        for (const sim::HealthTransition& h : all.health_transitions)
+            if (h.shard == shard && h.to == fault::HealthState::Failed &&
+                h.t_s >= t_s)
+                return h.t_s;
+        return -1.0;
+    };
+    std::map<double, size_t> killed_by_crash;
 
     for (double rate : {1.0, 0.3}) {
         SCOPED_TRACE(rate);
@@ -425,9 +458,10 @@ TEST(Telemetry, TraceOutcomesMatchRunAccounting)
             EXPECT_EQ(rec.finish_s, f.finish_s);
             EXPECT_EQ(rec.queue_wait_ms, f.queue_wait_ms);
             if (rec.outcome == obs::TraceOutcome::Killed) {
-                ASSERT_EQ(crash_at.count(rec.shard), 1u);
-                EXPECT_EQ(rec.finish_s, crash_at[rec.shard]);
+                EXPECT_EQ(rec.finish_s, crashAfter(rec.shard, rec.arrival_s));
                 EXPECT_LT(rec.queue_wait_ms, 0.0);
+                if (rate == 1.0)
+                    ++killed_by_crash[rec.finish_s];
             }
             if (rec.outcome == obs::TraceOutcome::Dropped ||
                 rec.outcome == obs::TraceOutcome::Rejected) {
@@ -442,8 +476,86 @@ TEST(Telemetry, TraceOutcomesMatchRunAccounting)
             EXPECT_EQ(count[obs::TraceOutcome::Rejected], all.rejected);
             EXPECT_EQ(count[obs::TraceOutcome::Killed],
                       all.failed_inflight);
+            // Each crash's kills are dated by that crash.
+            for (const sim::HealthTransition& h : all.health_transitions) {
+                if (h.to == fault::HealthState::Failed) {
+                    EXPECT_EQ(killed_by_crash[h.t_s], h.killed_inflight)
+                        << "crash of shard " << h.shard << " at " << h.t_s;
+                }
+            }
         }
     }
+}
+
+// ---- run-level gauge values ----------------------------------------------
+
+TEST(Telemetry, GaugeValueIsLastFullIntervalNotDrainTail)
+{
+    model::Model m = model::buildModel(model::ModelId::DlrmRmc1);
+    sched::SchedulingConfig cfg;
+    cfg.mapping = sched::Mapping::CpuModelBased;
+    cfg.cpu_threads = 1;
+    cfg.cores_per_thread = 1;
+    cfg.batch = 64;
+    sim::PreparedWorkload w =
+        sim::prepare(hw::serverSpec(hw::ServerType::T2), m, cfg);
+
+    // One slow shard fed right up to the last boundary: the backlog
+    // retires after it, in a drain-tail window the plan never saw.
+    std::vector<workload::Query> trace(60);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = i;
+        trace[i].arrival_s = static_cast<double>(i) * 0.005;
+        trace[i].size = 400;
+    }
+    obs::ObsSpec spec;
+    spec.metrics_file = "obs_test_gauge_metrics.json";  // never written
+    obs::Telemetry telemetry(spec);
+    sim::ClusterSim::Options copt;
+    copt.telemetry = &telemetry;
+    sim::ClusterSim cluster(copt);
+    cluster.addShard(w, 1000.0);
+    sim::IntervalPlanFn plan = [](int k, double) {
+        sim::IntervalPlan p;
+        p.active = {0};
+        p.provisioned_power_w = 300.0 + k;
+        return p;
+    };
+    sim::ClusterSimResult r = cluster.run(trace, 0.1, plan);
+
+    // Three planned intervals plus the drain tail.
+    ASSERT_EQ(r.intervals.size(), 4u);
+    const sim::IntervalStats& last = r.intervals[2];
+    const sim::IntervalStats& tail = r.intervals[3];
+    ASSERT_GT(tail.completions, 0u);
+    ASSERT_EQ(tail.provisioned_power_w, 0.0);
+
+    obs::MetricsRegistry& reg = telemetry.metrics();
+    ASSERT_EQ(reg.numSamples(), 4u);
+    auto gauge = [&](const char* name) {
+        int id = reg.gauge(name);
+        // The tail sample stays in the series.
+        EXPECT_EQ(reg.series(id).size(), 4u) << name;
+        return reg.value(id);
+    };
+    EXPECT_EQ(gauge("cluster.provisioned_power_w"), last.provisioned_power_w);
+    EXPECT_EQ(gauge("cluster.consumed_power_w"), last.consumed_power_w);
+    EXPECT_EQ(gauge("cluster.active_shards"), last.active_shards);
+    EXPECT_EQ(gauge("svc.0.p50_ms"), last.services[0].p50_ms);
+    EXPECT_EQ(gauge("svc.0.p99_ms"), last.services[0].p99_ms);
+    EXPECT_EQ(gauge("svc.0.sla_violation_rate"),
+              last.services[0].sla_violation_rate);
+    EXPECT_EQ(reg.series(reg.gauge("cluster.provisioned_power_w")).back(),
+              tail.provisioned_power_w);
+    const std::vector<double>& depth =
+        reg.series(reg.gauge("shard.0.queue_depth"));
+    EXPECT_EQ(gauge("shard.0.queue_depth"), depth[2]);
+
+    // Counters still report the run total, histograms the whole run.
+    EXPECT_EQ(reg.value(reg.counter("cluster.completions")),
+              static_cast<double>(r.completed));
+    EXPECT_EQ(reg.histogramCount(reg.histogram("svc.0.latency_ms")),
+              r.completed);
 }
 
 TEST(Telemetry, DisabledSpecAttachesNothing)
