@@ -21,7 +21,10 @@
  *
  * Results land in BENCH_obs.json, one result object per arm and
  * round, written before the exit status is decided. Fast mode
- * (HERCULES_BENCH_FAST=1): 6h horizon, reduced profiling probes.
+ * (HERCULES_BENCH_FAST=1) only reduces the profiling probes: the
+ * replay keeps the scenario's full 24 h horizon, because with the
+ * shards advancing in parallel a shorter replay's OFF arm falls below
+ * kMinGateWallMs and the overhead gate would be skipped.
  */
 #include <algorithm>
 #include <cstdio>
@@ -113,10 +116,8 @@ main()
 
     scenario::ScenarioSpec base =
         bench::loadScenario("three_service_phase_shift.scn");
-    if (bench::fastMode()) {
-        base.serve.horizon_hours = 6.0;
+    if (bench::fastMode())
         base.profile.table_cache = "hercules_efficiency_obs_fast.csv";
-    }
     bench::applyBenchProfile(base);
 
     core::EfficiencyTable table = scenario::profileTable(base);

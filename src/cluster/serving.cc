@@ -8,6 +8,7 @@
 #include "cluster/cluster_manager.h"
 #include "sim/prepared.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hercules::cluster {
 
@@ -176,7 +177,12 @@ serveTraces(const core::EfficiencyTable& table,
     out.service_capacity_qps.assign(S, 0.0);
     out.service_sla_ms.reserve(S);
 
+    // One pool for the call: the services' trace streams are drawn on
+    // it, and the cluster advances its shards on it.
+    util::ThreadPool pool;
+
     sim::ClusterSim::Options copt;
+    copt.pool = &pool;
     copt.router = opt.router;
     copt.router_seed = opt.router_seed;
     copt.sla_ms = opt.sla_ms;
@@ -256,7 +262,7 @@ serveTraces(const core::EfficiencyTable& table,
     workload::TraceOptions topt = opt.trace;
     topt.horizon_hours = opt.horizon_hours;
     std::vector<workload::Query> trace =
-        workload::generateMultiServiceTrace(trace_specs, topt);
+        workload::generateMultiServiceTrace(trace_specs, topt, &pool);
     out.trace_queries = trace.size();
 
     const double interval_s =

@@ -349,8 +349,8 @@ MetricsRegistry::writeFile(const std::string& path) const
         writeJson(f);
     else
         writePrometheus(f);
-    std::fclose(f);
-    return true;
+    const bool written = std::ferror(f) == 0;
+    return std::fclose(f) == 0 && written;
 }
 
 }  // namespace hercules::obs

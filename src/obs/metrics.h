@@ -131,7 +131,8 @@ class MetricsRegistry
 
     /**
      * Write to `path`, format chosen by extension (.csv, .json, else
-     * Prometheus text). @return false when the file cannot be opened.
+     * Prometheus text). @return false when the file cannot be opened
+     * or written.
      */
     bool writeFile(const std::string& path) const EXCLUDES(mu_);
 

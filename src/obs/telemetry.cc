@@ -171,8 +171,8 @@ Telemetry::writeTraceFile() const
         util::MutexLock lock(mu_);
         writeTraceJsonl(f, records_);
     }
-    std::fclose(f);
-    return true;
+    const bool written = std::ferror(f) == 0;
+    return std::fclose(f) == 0 && written;
 }
 
 bool

@@ -112,7 +112,10 @@ class Telemetry
     /** Append a finished run's trace records (in arrival order). */
     void addTraceRecords(std::vector<TraceRecord> records) EXCLUDES(mu_);
 
-    /** Emit the configured files; no-ops when the path is empty. */
+    /**
+     * Emit the configured files; no-ops when the path is empty.
+     * @return false when a file cannot be opened or written.
+     */
     bool writeTraceFile() const EXCLUDES(mu_);
     bool writeMetricsFile() const;
 

@@ -286,10 +286,14 @@ run(const ScenarioSpec& spec, const core::EfficiencyTable* table)
                                      *policy, sopt);
     out.serve_wall_ms = serve_timer.elapsedMs();
 
-    if (spec.observability.enabled()) {
-        telemetry.writeTraceFile();
-        telemetry.writeMetricsFile();
-    }
+    // A requested export that cannot be written fails the run: a
+    // caller must never read a stale or missing file as this run's.
+    if (!telemetry.writeTraceFile())
+        fatal("scenario '%s': cannot write trace file '%s'",
+              spec.name.c_str(), spec.observability.trace_file.c_str());
+    if (!telemetry.writeMetricsFile())
+        fatal("scenario '%s': cannot write metrics file '%s'",
+              spec.name.c_str(), spec.observability.metrics_file.c_str());
     return out;
 }
 

@@ -206,7 +206,8 @@ bool validateSpec(const ScenarioSpec& spec,
  * With `table` null the efficiency table comes from profileTable();
  * passing one (e.g. shared across a sweep of spec deltas) skips
  * profiling. Fatals on an invalid spec (empty fleet/services,
- * non-positive horizon, unsorted cap schedule).
+ * non-positive horizon, unsorted cap schedule), and naming the path
+ * when a configured trace or metrics file cannot be written.
  */
 ScenarioResult run(const ScenarioSpec& spec,
                    const core::EfficiencyTable* table = nullptr);

@@ -6,6 +6,7 @@
 #include "obs/telemetry.h"
 #include "qos/feedback.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hercules::sim {
 
@@ -223,6 +224,15 @@ ClusterSim::addShard(const PreparedWorkload& w, double weight_qps,
     s.service = service;
     s.admit = qos::AdmissionController(opt_.admission);
     shards_.push_back(std::move(s));
+    auto same = std::find_if(
+        workload_shards_.begin(), workload_shards_.end(),
+        [&](const std::vector<int>& ids) {
+            return shards_[static_cast<size_t>(ids[0])].workload == &w;
+        });
+    if (same == workload_shards_.end())
+        workload_shards_.push_back({id});
+    else
+        same->push_back(id);
     injected_per_shard_.push_back(0);
     rebuildActive();
     for (Router& r : routers_)
@@ -397,15 +407,37 @@ ClusterSim::activeShards(int service) const
 void
 ClusterSim::advanceTo(double t_s)
 {
-    for (Shard& s : shards_)
-        s.inst->advanceTo(t_s);
+    // A shard's state depends only on the calls it receives, so the
+    // shards advance independently; only shards sharing a workload
+    // (and its lazily filled service-time table) stay on one thread.
+    auto advanceGroup = [&](size_t g) {
+        for (int id : workload_shards_[g]) {
+            Shard& s = shards_[static_cast<size_t>(id)];
+            for (const workload::Query& q : s.pending) {
+                s.inst->advanceTo(q.arrival_s);
+                s.inst->inject(q);
+            }
+            s.pending.clear();
+            s.inst->advanceTo(t_s);
+        }
+    };
+    if (opt_.pool != nullptr)
+        opt_.pool->parallelFor(workload_shards_.size(), advanceGroup);
+    else
+        for (size_t g = 0; g < workload_shards_.size(); ++g)
+            advanceGroup(g);
 }
 
 int
 ClusterSim::route(const workload::Query& q)
 {
     applyHealthEventsUpTo(q.arrival_s);
-    advanceTo(q.arrival_s);
+    // A deferred arrival is injected at the shard's next advance; every
+    // other router (or admission check) reads live shard state, so all
+    // shards catch up to this arrival first.
+    if (!defer_)
+        for (Shard& sh : shards_)
+            sh.inst->advanceTo(q.arrival_s);
     const int svc = q.service_id;
     if (svc < 0 || svc >= numServices())
         panic("ClusterSim::route: query for service %d but shards exist "
@@ -462,7 +494,13 @@ ClusterSim::route(const workload::Query& q)
         ++retry_hops;
     }
     Shard& sh = shards_[static_cast<size_t>(s)];
-    int inject_idx = sh.inst->inject(q);
+    // The shard's injection index: every query it serves enters here.
+    const int inject_idx =
+        static_cast<int>(injected_per_shard_[static_cast<size_t>(s)]);
+    if (defer_)
+        sh.pending.push_back(q);
+    else
+        sh.inst->inject(q);
     ++injected_;
     ++service_state_[static_cast<size_t>(svc)].injected;
     ++injected_per_shard_[static_cast<size_t>(s)];
@@ -487,8 +525,7 @@ ClusterSim::traceArrival(const workload::Query& q, obs::TraceOutcome verdict,
 void
 ClusterSim::drainAll()
 {
-    for (Shard& s : shards_)
-        s.inst->drain();
+    advanceTo(std::numeric_limits<double>::infinity());
 }
 
 IntervalStats
@@ -758,12 +795,38 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         tel->commitSample(st.t1_s, drain_tail);
     };
 
+    // Size every per-query buffer once, on this thread, for the most
+    // arrivals it can take: a shard only ever sees its own service's
+    // queries. Reserved capacity costs no resident memory until it is
+    // written, and a buffer that never reallocates leaves no freed
+    // copies behind in the heap, nor grows in a pool worker's arena.
+    std::vector<size_t> service_arrivals(service_state_.size(), 0);
+    for (const workload::Query& q : trace)
+        if (q.service_id >= 0 &&
+            static_cast<size_t>(q.service_id) < service_arrivals.size())
+            ++service_arrivals[static_cast<size_t>(q.service_id)];
+    for (Shard& s : shards_)
+        s.inst->reserveQueries(
+            s.inst->injected() +
+            service_arrivals[static_cast<size_t>(s.service)]);
+    all_latency_ms_.reserve(all_latency_ms_.count() + trace.size());
+    for (size_t v = 0; v < service_state_.size(); ++v)
+        service_state_[v].latency_ms.reserve(
+            service_state_[v].latency_ms.count() + service_arrivals[v]);
+
     ClusterSimResult r;
     if (tracing_)  // room for the expected number of sampled arrivals
         traced_.reserve(traced_.size() +
                         static_cast<size_t>(
                             static_cast<double>(trace.size()) *
                             opt_.telemetry->spec().sample_rate));
+    // Routers that pick from router state alone (rr, hercules,
+    // latency-feedback), with admission `none`, let route() defer each
+    // arrival to its shard's next advance (Options::pool).
+    defer_ = opt_.pool != nullptr &&
+             opt_.router != RouterPolicy::LeastOutstanding &&
+             opt_.router != RouterPolicy::PowerOfTwo &&
+             opt_.admission.policy == qos::AdmissionPolicy::None;
     size_t cursor = 0;
     int k = 0;
     while (cursor < trace.size() ||
@@ -810,6 +873,8 @@ ClusterSim::run(const std::vector<workload::Query>& trace,
         r.intervals.push_back(st);
         ++k;
     }
+
+    defer_ = false;
 
     // Tail: retire whatever is still in flight past the last interval.
     const size_t planned_intervals = r.intervals.size();

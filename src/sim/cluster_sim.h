@@ -67,6 +67,10 @@ namespace hercules::obs {
 class Telemetry;
 }  // namespace hercules::obs
 
+namespace hercules::util {
+class ThreadPool;
+}  // namespace hercules::util
+
 namespace hercules::sim {
 
 /** The query-routing policies. */
@@ -336,6 +340,21 @@ class ClusterSim
          * bit-identical.
          */
         obs::Telemetry* telemetry = nullptr;
+        /**
+         * Optional pool the shards advance on. Not owned; null (the
+         * default) advances every shard on the calling thread. With a
+         * pool, advanceTo() and drainAll() run one task per prepared
+         * workload — the shards sharing that workload (and its
+         * service-time table) advance in id order inside the task, so
+         * a table is only ever filled by one thread at a time. And
+         * when the router reads no live shard state (rr, hercules,
+         * latency-feedback) and admission is `none`, run() defers
+         * each interval's arrivals: route() only appends a query to
+         * its shard's pending list, and the shard replays the list at
+         * the next advance. Every statistic is bit-identical with or
+         * without a pool.
+         */
+        util::ThreadPool* pool = nullptr;
     };
 
     explicit ClusterSim(Options opt);
@@ -418,7 +437,10 @@ class ClusterSim
     /** Active shards of one service. */
     const std::vector<int>& activeShards(int service) const;
 
-    /** Advance every shard's event queue to t_s. */
+    /**
+     * Advance every shard's event queue to t_s (on Options::pool when
+     * set), after it has replayed the arrivals run() deferred to it.
+     */
     void advanceTo(double t_s);
 
     /**
@@ -485,6 +507,13 @@ class ClusterSim
         fault::HealthState health = fault::HealthState::Healthy;
         double slowdown = 1.0;   ///< latency multiplier in force
         double failed_at = 0.0;  ///< time of the last crash
+        /**
+         * Arrivals routed here but not yet injected (deferred routing
+         * in run()), in arrival order. The next advance replays them:
+         * inst->advanceTo(q.arrival_s); inst->inject(q) for each —
+         * the calls route() would have made — then the advance itself.
+         */
+        std::vector<workload::Query> pending;
     };
 
     /** Per-service routing + accounting state. */
@@ -535,6 +564,10 @@ class ClusterSim
     SimOptions shard_opt_;  ///< shared by all shard instances
     std::vector<Router> routers_;  ///< one per service
     std::vector<Shard> shards_;
+    /** Shard ids by prepared workload: one advance task each. */
+    std::vector<std::vector<int>> workload_shards_;
+    /** route() defers injection (run(), state-blind routing only). */
+    bool defer_ = false;
     std::vector<int> active_;  ///< all active shards
     std::vector<std::vector<int>> active_by_service_;
     std::vector<ServiceState> service_state_;

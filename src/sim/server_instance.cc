@@ -81,6 +81,16 @@ ServerInstance::advanceTo(double t_s)
 }
 
 void
+ServerInstance::reserveQueries(size_t queries)
+{
+    queries_.reserve(queries);
+    completion_times_.reserve(queries);
+    latency_ms_.reserve(queries);
+    if (opt_.record_completions)
+        completions_.reserve(queries);
+}
+
+void
 ServerInstance::drain()
 {
     while (!eq_.empty())

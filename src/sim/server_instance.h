@@ -76,6 +76,14 @@ class ServerInstance
     /** Run every pending event with timestamp <= t_s. */
     void advanceTo(double t_s);
 
+    /**
+     * Make room for `queries` injected queries in every per-query
+     * buffer (query states, completion log, completion times, latency
+     * samples), so a caller that knows a bound can allocate them once,
+     * on its own thread, before the instance is advanced on another.
+     */
+    void reserveQueries(size_t queries);
+
     /** Run the event queue dry (retire all in-flight work). */
     void drain();
 

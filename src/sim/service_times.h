@@ -12,12 +12,14 @@
  *
  * Thread-safety: none, by contract. Entries fill lazily on first use
  * without a lock, so a table (and hence a PreparedWorkload) must be
- * simulated on one thread at a time. Every caller honours this today:
+ * simulated on one thread at a time. Every caller honours this:
  * EvalEngine prepares one workload per evaluation on the pool thread
- * that measures it, and ClusterSim runs every shard on one thread.
- * Simulating one workload from several threads at once (parallel
- * shards) must first pre-fill the table or give each entry a
- * once-flag.
+ * that measures it, and ClusterSim advances its shards on its pool as
+ * one task per prepared workload — the shards sharing a workload run
+ * one after another inside that task, on whichever thread claimed it,
+ * while shards of different workloads run concurrently. A caller that
+ * wants one workload's shards on several threads at once must first
+ * pre-fill the table or give each entry a once-flag.
  */
 #pragma once
 

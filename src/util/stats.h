@@ -97,6 +97,9 @@ class PercentileTracker
     /** Remove all samples. */
     void reset();
 
+    /** Make room for `n` samples in total (std::vector::reserve). */
+    void reserve(size_t n) { samples_.reserve(n); }
+
   private:
     /** Samples; queries reorder them (selection), never drop or add. */
     mutable std::vector<double> samples_;

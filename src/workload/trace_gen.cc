@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace hercules::workload {
 
@@ -99,31 +101,52 @@ serviceTraceSeed(uint64_t base_seed, size_t service)
 
 std::vector<Query>
 generateMultiServiceTrace(const std::vector<ServiceTraceSpec>& services,
-                          const TraceOptions& opt)
+                          const TraceOptions& opt, util::ThreadPool* pool)
 {
     if (services.empty())
         fatal("generateMultiServiceTrace: no services");
 
-    std::vector<Query> merged;
-    for (size_t s = 0; s < services.size(); ++s) {
+    // Each stream depends only on its own seed and spec, so the streams
+    // can be drawn in any order, on any thread.
+    std::vector<std::vector<Query>> streams(services.size());
+    auto generateStream = [&](size_t s) {
         TraceOptions o = opt;
         o.seed = serviceTraceSeed(opt.seed, s);
         o.sizes = services[s].sizes;
         o.pooling = services[s].pooling;
         DiurnalLoad load(services[s].load);
-        std::vector<Query> stream = TraceGenerator(load, o).generate();
-        merged.reserve(merged.size() + stream.size());
-        for (Query& q : stream) {
+        streams[s] = TraceGenerator(load, o).generate();
+    };
+    if (pool != nullptr)
+        pool->parallelFor(services.size(), generateStream);
+    else
+        for (size_t s = 0; s < services.size(); ++s)
+            generateStream(s);
+    return mergeServiceStreams(std::move(streams));
+}
+
+std::vector<Query>
+mergeServiceStreams(std::vector<std::vector<Query>> streams)
+{
+    if (streams.empty())
+        return {};
+    for (size_t s = 0; s < streams.size(); ++s)
+        for (Query& q : streams[s])
             q.service_id = static_cast<int>(s);
-            merged.push_back(q);
-        }
+    // Fold the streams in service order: std::merge takes the first
+    // range's element on a tie, so the lower service index wins it.
+    std::vector<Query> merged = std::move(streams[0]);
+    for (size_t s = 1; s < streams.size(); ++s) {
+        std::vector<Query> next;
+        next.reserve(merged.size() + streams[s].size());
+        std::merge(merged.begin(), merged.end(), streams[s].begin(),
+                   streams[s].end(), std::back_inserter(next),
+                   [](const Query& a, const Query& b) {
+                       return a.arrival_s < b.arrival_s;
+                   });
+        merged = std::move(next);
+        std::vector<Query>().swap(streams[s]);
     }
-    // Merge by arrival; the stable sort breaks (measure-zero) timestamp
-    // ties by service index, keeping the merge deterministic.
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Query& a, const Query& b) {
-                         return a.arrival_s < b.arrival_s;
-                     });
     for (size_t i = 0; i < merged.size(); ++i)
         merged[i].id = i;
     return merged;

@@ -24,6 +24,10 @@
 #include "workload/query.h"
 #include "workload/querygen.h"
 
+namespace hercules::util {
+class ThreadPool;
+}  // namespace hercules::util
+
 namespace hercules::workload {
 
 /** Options of one trace generation. */
@@ -101,10 +105,25 @@ uint64_t serviceTraceSeed(uint64_t base_seed, size_t service);
  * with `service_id = s`, then merged by arrival time (ties break by
  * service index) with globally renumbered query ids.
  *
- * Fixed options + specs give a bitwise-identical merged trace.
+ * Fixed options + specs give a bitwise-identical merged trace, with
+ * or without a pool.
+ *
+ * @param pool generates the services' streams concurrently, one task
+ *             per service; not owned. Null generates them one after
+ *             another on the calling thread.
  */
 std::vector<Query> generateMultiServiceTrace(
     const std::vector<ServiceTraceSpec>& services,
-    const TraceOptions& opt);
+    const TraceOptions& opt, util::ThreadPool* pool = nullptr);
+
+/**
+ * Merge per-service streams, each sorted by arrival time, into one
+ * trace sorted by arrival time: stream s's queries are tagged
+ * `service_id = s`, an arrival-time tie goes to the lower service
+ * index, and query ids are renumbered in merged order. Consumes the
+ * streams.
+ */
+std::vector<Query> mergeServiceStreams(
+    std::vector<std::vector<Query>> streams);
 
 }  // namespace hercules::workload

@@ -783,6 +783,19 @@ TEST(ScenarioRun, UnsortedScheduleIsFatal)
     EXPECT_DEATH(run(spec, &table), "power_cap_schedule");
 }
 
+TEST(ScenarioRun, UnwritableExportIsFatalAndNamesThePath)
+{
+    core::EfficiencyTable table = goldenTable();
+    ScenarioSpec trace = goldenSpec();
+    trace.observability.trace_file = "no_such_dir/t.jsonl";
+    EXPECT_DEATH(run(trace, &table),
+                 "cannot write trace file 'no_such_dir/t.jsonl'");
+    ScenarioSpec metrics = goldenSpec();
+    metrics.observability.metrics_file = "no_such_dir/m.txt";
+    EXPECT_DEATH(run(metrics, &table),
+                 "cannot write metrics file 'no_such_dir/m.txt'");
+}
+
 TEST(ScenarioRun, PeakFracWithoutCapacityNamesTheService)
 {
     // No fleet type has a feasible RMC1 row: the fraction has nothing

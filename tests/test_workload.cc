@@ -14,6 +14,7 @@
 #include "workload/querygen.h"
 #include "model/partition.h"
 #include "workload/trace.h"
+#include "util/thread_pool.h"
 #include "workload/trace_gen.h"
 
 namespace hercules::workload {
@@ -487,6 +488,69 @@ TEST(MultiTrace, ServiceStreamsMatchSoloGenerators)
             EXPECT_DOUBLE_EQ(sub[i].pooling_scale,
                              solo[i].pooling_scale);
         }
+    }
+}
+
+TEST(MultiTrace, PooledGenerationMatchesSerial)
+{
+    // Three phase-shifted services drawn on a 4-thread pool give the
+    // serial trace, query for query.
+    std::vector<ServiceTraceSpec> specs(3);
+    for (size_t s = 0; s < specs.size(); ++s) {
+        specs[s].load.peak_qps = 600.0 + 300.0 * static_cast<double>(s);
+        specs[s].load.peak_hour = 4.0 + 8.0 * static_cast<double>(s);
+        specs[s].load.seed = 3 + s;
+        specs[s].sizes.median = 20.0 + 40.0 * static_cast<double>(s);
+    }
+    TraceOptions opt;
+    opt.horizon_hours = 0.05;
+    opt.bucket_seconds = 10.0;
+    opt.seed = 7;
+
+    const std::vector<Query> serial = generateMultiServiceTrace(specs, opt);
+    util::ThreadPool pool(4);
+    const std::vector<Query> pooled =
+        generateMultiServiceTrace(specs, opt, &pool);
+    ASSERT_GT(serial.size(), 100u);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(pooled[i].id, serial[i].id);
+        EXPECT_EQ(pooled[i].arrival_s, serial[i].arrival_s);
+        EXPECT_EQ(pooled[i].service_id, serial[i].service_id);
+        EXPECT_EQ(pooled[i].size, serial[i].size);
+        EXPECT_EQ(pooled[i].pooling_scale, serial[i].pooling_scale);
+    }
+}
+
+TEST(MultiTrace, MergeBreaksTimestampTiesByServiceIndex)
+{
+    // Equal arrival times across streams go to the lower service index,
+    // in every pairing of streams, and ids follow the merged order.
+    auto stream = [](std::vector<double> ts, int size) {
+        std::vector<Query> out;
+        for (double t : ts) {
+            Query q;
+            q.arrival_s = t;
+            q.size = size;
+            out.push_back(q);
+        }
+        return out;
+    };
+    std::vector<std::vector<Query>> streams;
+    streams.push_back(stream({0.1, 0.3, 0.3}, 10));
+    streams.push_back(stream({0.1, 0.2, 0.3}, 11));
+    streams.push_back(stream({0.0, 0.1, 0.3}, 12));
+    const std::vector<Query> merged = mergeServiceStreams(streams);
+
+    const std::vector<std::pair<double, int>> want = {
+        {0.0, 2}, {0.1, 0}, {0.1, 1}, {0.1, 2}, {0.2, 1},
+        {0.3, 0}, {0.3, 0}, {0.3, 1}, {0.3, 2}};
+    ASSERT_EQ(merged.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(merged[i].arrival_s, want[i].first) << i;
+        EXPECT_EQ(merged[i].service_id, want[i].second) << i;
+        EXPECT_EQ(merged[i].size, 10 + want[i].second) << i;
+        EXPECT_EQ(merged[i].id, i);
     }
 }
 

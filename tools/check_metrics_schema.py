@@ -9,6 +9,13 @@ exported file (Prometheus text, metrics CSV, or metrics JSON — the
 three MetricsRegistry::writeFile formats) matches a documented name,
 and, for Prometheus text, that its declared kind matches too.
 
+A JSON export also carries each counter's and gauge's sample series,
+so for it the checker verifies the README's run-level value rule as
+well: a counter's value is its last sample, a gauge's value is its
+last full-interval sample. Full-interval samples sit at whole
+multiples of the first sample time (the interval length); a drain-tail
+sample, which ends wherever the last backlog retires, does not.
+
 CI runs it on the scenario-smoke artifacts, so a metric added in code
 but not documented (or vice versa: a doc row that drifted from the
 code) fails the build.
@@ -85,6 +92,44 @@ def names_from_json(path):
     ]
 
 
+def is_full_interval(times, i):
+    """@return true when sample i closes a whole provisioning interval."""
+    interval = times[0]
+    want = interval * (i + 1)
+    return abs(times[i] - want) <= 1e-6 * max(1.0, want)
+
+
+def check_json_values(path):
+    """@return violations of the run-level value rule in a JSON export."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    times = doc.get("sample_times_s", [])
+    if not times:
+        return 0
+    full = [i for i in range(len(times)) if is_full_interval(times, i)]
+    bad = 0
+    for m in doc.get("metrics", []):
+        kind = m.get("kind")
+        series = m.get("series")
+        if kind not in ("counter", "gauge") or not series:
+            continue
+        if len(series) != len(times):
+            print(f"{path}: '{m['name']}' has {len(series)} samples "
+                  f"for {len(times)} sample times")
+            bad += 1
+            continue
+        if kind == "counter":
+            want, which = series[-1], "last sample"
+        elif full:
+            want, which = series[full[-1]], "last full-interval sample"
+        else:
+            continue
+        if m["value"] != want:
+            print(f"{path}: {kind} '{m['name']}' value {m['value']} is "
+                  f"not its {which} {want}")
+            bad += 1
+    return bad
+
+
 def check_file(registry, path):
     if path.suffix == ".csv":
         entries = names_from_csv(path)
@@ -108,6 +153,8 @@ def check_file(registry, path):
             print(f"{path}: '{name}' exported as {declared_kind} but "
                   f"documented as {kind}")
             bad += 1
+    if path.suffix == ".json":
+        bad += check_json_values(path)
     if bad == 0:
         print(f"{path}: {len(entries)} metric(s) match the registry")
     return bad
