@@ -288,14 +288,6 @@ runScenarioFile(const Args& args)
         std::fprintf(stderr, "error: %s\n", err.c_str());
         return 1;
     }
-    // Parsing alone accepts specs that cannot run (empty fleet,
-    // unsorted cap schedule, ...): reject them here with exit 1
-    // instead of a fatal() inside scenario::run().
-    if (!scenario::validateSpec(*spec, &err)) {
-        std::fprintf(stderr, "error: %s: %s\n",
-                     args.scenario_file.c_str(), err.c_str());
-        return 1;
-    }
     // CLI telemetry overrides beat the spec's observability block, so
     // any scenario can be traced without editing its file.
     if (!args.trace_out.empty())

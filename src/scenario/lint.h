@@ -8,8 +8,8 @@
  * between).
  *
  * Every diagnostic carries a stable code: E1xx are errors (the spec
- * cannot run, or the run is provably meaningless — scenario::run()
- * would fatal or produce an all-dark replay) and W2xx are warnings
+ * cannot run, or the run is provably meaningless, such as an all-dark
+ * replay; scenario::run() refuses both) and W2xx are warnings
  * (the spec runs, but a knob is dead or the configuration is
  * degenerate). Codes are append-only across PRs: tooling (CI's
  * scenario-lint step, tests/test_lint.cc) pins them.
@@ -22,8 +22,8 @@
  * Three surfaces consume this pass:
  *  - `online_serving_sim --lint FILE` (exit 1 on errors, 0 otherwise,
  *    all diagnostics printed);
- *  - the opt-in `"lint": true` spec key: scenario::run() rejects a
- *    spec with lint errors before profiling;
+ *  - the gate of scenario::run() and scenario::profileTable(): any
+ *    table-free error fatals before profiling, naming every code;
  *  - CI lints every shipped .scn in scenarios/ expecting zero
  *    diagnostics (pinned by tests/test_lint.cc too).
  */
@@ -80,10 +80,10 @@ std::string formatDiagnostic(const Diagnostic& d);
  * hardware-feasibility checks (E130, E131, W209). lint() never simulates:
  * tables come from ScenarioSpec::profile.table_cache or a prior run.
  *
- * Errors are a superset of validateSpec(): any spec validateSpec()
- * rejects lints with at least one E1xx, so a lint-clean spec never
- * fatals inside scenario::run() for structural reasons (pinned by
- * tests/test_lint.cc:ErrorsCoverEveryValidateSpecRejection).
+ * Table-free errors are the only semantic gate of scenario::run():
+ * it refuses a spec exactly when lint(spec) reports an E1xx, so a
+ * lint-clean spec never fatals there for structural reasons (pinned by
+ * tests/test_lint.cc:RunDiesNamingEveryErrorCase).
  */
 std::vector<Diagnostic> lint(const ScenarioSpec& spec,
                              const core::EfficiencyTable* table = nullptr);

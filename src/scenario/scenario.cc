@@ -14,12 +14,21 @@ namespace hercules::scenario {
 
 namespace {
 
+/**
+ * The one semantic gate of run() and profileTable(): fatal() on any
+ * error of table-free lint, naming every code and path, before any
+ * profiling or trace generation spends time on the spec.
+ */
 void
-validate(const ScenarioSpec& spec)
+lintGate(const ScenarioSpec& spec)
 {
-    std::string err;
-    if (!validateSpec(spec, &err))
-        fatal("%s", err.c_str());
+    std::string errs;
+    for (const Diagnostic& d : lint(spec))
+        if (d.severity == Severity::Error)
+            errs += (errs.empty() ? "" : "; ") + formatDiagnostic(d);
+    if (!errs.empty())
+        fatal("scenario '%s' rejected by lint gate: %s",
+              spec.name.c_str(), errs.c_str());
 }
 
 std::unique_ptr<cluster::Provisioner>
@@ -80,69 +89,10 @@ parseProvisionerKind(const std::string& name)
     return std::nullopt;
 }
 
-bool
-validateSpec(const ScenarioSpec& spec, std::string* error)
-{
-    auto fail = [&](const std::string& msg) {
-        if (error != nullptr)
-            *error = "scenario '" + spec.name + "': " + msg;
-        return false;
-    };
-    if (spec.fleet.empty())
-        return fail("empty fleet");
-    if (spec.services.empty())
-        return fail("no services");
-    for (const FleetEntry& e : spec.fleet)
-        if (e.shard_slots < 0)
-            return fail(std::string("negative slots for ") +
-                        hw::serverTypeName(e.type));
-    if (spec.serve.horizon_hours <= 0.0 ||
-        spec.serve.interval_hours <= 0.0)
-        return fail("non-positive horizon/interval");
-    const auto& sched = spec.serve.power_cap_schedule;
-    for (size_t i = 0; i < sched.size(); ++i) {
-        if (!(sched[i].from_hour >= 0.0) ||
-            !std::isfinite(sched[i].from_hour) ||
-            !(sched[i].cap_w >= 0.0))
-            return fail("power_cap_schedule[" + std::to_string(i) +
-                        "]: non-finite or negative point");
-        if (i > 0 && sched[i].from_hour < sched[i - 1].from_hour)
-            return fail("power_cap_schedule not sorted by from_hour");
-    }
-    const fault::FaultSpec& fs = spec.serve.faults;
-    if (!(fs.crash_mtbf_hours >= 0.0) ||
-        !(fs.crash_mttr_hours >= 0.0) ||
-        !(fs.degrade_mtbf_hours >= 0.0) ||
-        !(fs.degrade_mttr_hours >= 0.0))
-        return fail("faults: negative (or NaN) MTBF/MTTR");
-    if (!(fs.degrade_slowdown >= 1.0))
-        return fail("faults: degrade_slowdown must be >= 1");
-    for (size_t i = 0; i < fs.events.size(); ++i) {
-        const fault::FaultEvent& e = fs.events[i];
-        const std::string ctx =
-            "faults.events[" + std::to_string(i) + "]: ";
-        if (!(e.t_hours >= 0.0))
-            return fail(ctx + "negative (or NaN) at_hour");
-        if (e.fleet_index < 0 ||
-            e.fleet_index >= static_cast<int>(spec.fleet.size()))
-            return fail(ctx + "fleet index out of range");
-        if (e.slot < 0 ||
-            e.slot >= spec.fleet[e.fleet_index].shard_slots)
-            return fail(ctx + "slot out of range");
-        if (e.state == fault::HealthState::Degraded &&
-            !(e.slowdown >= 1.0))
-            return fail(ctx + "degraded slowdown must be >= 1");
-    }
-    const obs::ObsSpec& ob = spec.observability;
-    if (!(ob.sample_rate >= 0.0) || !(ob.sample_rate <= 1.0))
-        return fail("observability.sample_rate must be in [0, 1]");
-    return true;
-}
-
 core::EfficiencyTable
 profileTable(const ScenarioSpec& spec)
 {
-    validate(spec);
+    lintGate(spec);
     core::ProfilerOptions popt;
     popt.search.measure.sim.num_queries = spec.profile.num_queries;
     popt.search.measure.sim.warmup_queries =
@@ -235,20 +185,8 @@ resolvePeaks(ScenarioSpec& spec, const core::EfficiencyTable& table)
 ScenarioResult
 run(const ScenarioSpec& spec, const core::EfficiencyTable* table)
 {
-    // Opt-in lint gate: reject statically-broken specs before any
-    // profiling or trace generation spends time on them.
-    if (spec.lint) {
-        std::vector<Diagnostic> ds = lint(spec, table);
-        std::string errs;
-        for (const Diagnostic& d : ds)
-            if (d.severity == Severity::Error)
-                errs += (errs.empty() ? "" : "; ") +
-                        formatDiagnostic(d);
-        if (!errs.empty())
-            fatal("scenario '%s' rejected by lint gate: %s",
-                  spec.name.c_str(), errs.c_str());
-    }
-    validate(spec);
+    if (table != nullptr)
+        lintGate(spec);  // else profileTable() gates it
 
     ScenarioResult out;
     obs::WallTimer profile_timer;

@@ -114,14 +114,6 @@ struct ScenarioSpec
     ProvisionerKind provisioner = ProvisionerKind::Hercules;
     /** Seed of the heterogeneity-oblivious NH provisioner. */
     uint64_t nh_seed = 17;
-    /**
-     * Opt-in lint gate (spec key "lint"): run() statically analyzes
-     * the spec (scenario/lint.h) and rejects it on any E1xx error
-     * before profiling — a malformed 24h replay fails in microseconds
-     * instead of minutes. Warnings never block. Default off: legacy
-     * specs run exactly as before.
-     */
-    bool lint = false;
     ProfileSpec profile;
     /**
      * Everything cluster::serveTraces consumes: horizon/interval,
@@ -164,7 +156,9 @@ struct ScenarioResult
  * ScenarioSpec::profile applied. A cached table is trusted only when
  * it holds an entry for every (fleet type, service model) pair of the
  * spec; otherwise the grid is re-profiled (the log names the missing
- * pair) and the cache rewritten.
+ * pair) and the cache rewritten. Fatals, before touching any cache,
+ * on a spec with a table-free lint error (scenario/lint.h), naming
+ * every error's code and path.
  */
 core::EfficiencyTable profileTable(const ScenarioSpec& spec);
 
@@ -188,26 +182,16 @@ void resolvePeaks(ScenarioSpec& spec,
                   const core::EfficiencyTable& table);
 
 /**
- * Semantic validation of a parsed spec — the same checks run()
- * enforces fatally (non-empty fleet/services, positive slots and
- * horizon/interval, sorted power-cap schedule), non-fatally so a front
- * door (`online_serving_sim --scenario`) can reject a spec that parses
- * but cannot run. scenario::lint() reports an E1xx error for every
- * spec this rejects.
- * @return true when the spec is runnable; else fills *error.
- */
-bool validateSpec(const ScenarioSpec& spec,
-                  std::string* error = nullptr);
-
-/**
  * Run one scenario end to end — THE entry point every serving
  * experiment goes through.
  *
  * With `table` null the efficiency table comes from profileTable();
  * passing one (e.g. shared across a sweep of spec deltas) skips
- * profiling. Fatals on an invalid spec (empty fleet/services,
- * non-positive horizon, unsorted cap schedule), and naming the path
- * when a configured trace or metrics file cannot be written.
+ * profiling. Fatals before any profiling or trace generation when
+ * table-free lint(spec) reports an error, naming every error's code
+ * and path ("scenario 'NAME' rejected by lint gate: E101 error at
+ * fleet: ..."). Also fatals naming the path when a configured trace
+ * or metrics file cannot be written.
  */
 ScenarioResult run(const ScenarioSpec& spec,
                    const core::EfficiencyTable* table = nullptr);

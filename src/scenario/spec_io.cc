@@ -623,7 +623,6 @@ const Row kSpecRows[] = {
     SPEC_ROW(Spec, "services", kArray, services, 0, &kService),
     SPEC_ROW(Spec, "provisioner", kProvisioner, provisioner),
     SPEC_ROW(Spec, "nh_seed", kU64, nh_seed),
-    SPEC_ROW(Spec, "lint", kBool, lint),
     SPEC_ROW(Spec, "router", kRouter, serve.router),
     SPEC_ROW(Spec, "router_seed", kU64, serve.router_seed),
     SPEC_ROW(Spec, "feedback", kObject, serve.feedback, 0, &kFeedback),

@@ -84,7 +84,6 @@ void
 ServerInstance::reserveQueries(size_t queries)
 {
     queries_.reserve(queries);
-    completion_times_.reserve(queries);
     latency_ms_.reserve(queries);
     if (opt_.record_completions)
         completions_.reserve(queries);
@@ -299,7 +298,6 @@ ServerInstance::queryPartDone(int qidx)
     }
     if (qidx >= opt_.warmup_queries) {
         latency_ms_.add((now - q.arrival) * 1e3);
-        completion_times_.push_back(now);
         ++measured_completed_;
     }
 }

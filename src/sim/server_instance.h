@@ -78,9 +78,9 @@ class ServerInstance
 
     /**
      * Make room for `queries` injected queries in every per-query
-     * buffer (query states, completion log, completion times, latency
-     * samples), so a caller that knows a bound can allocate them once,
-     * on its own thread, before the instance is advanced on another.
+     * buffer (query states, completion log, latency samples), so a
+     * caller that knows a bound can allocate them once, on its own
+     * thread, before the instance is advanced on another.
      */
     void reserveQueries(size_t queries);
 
@@ -303,9 +303,8 @@ class ServerInstance
     EventQueue<Event> eq_;
 
     std::vector<QueryState> queries_;
-    std::vector<double> completion_times_;  ///< post-warmup, by finish
-    std::vector<Completion> completions_;   ///< all, when recording
-    size_t done_count_ = 0;                 ///< all retired queries
+    std::vector<Completion> completions_;  ///< all, when recording
+    size_t done_count_ = 0;                ///< all retired queries
 
     Pool cpu_pool_;    ///< model-based threads or SparseNet threads
     Pool dense_pool_;  ///< CpuSdPipeline DenseNet threads

@@ -5,7 +5,7 @@
  * independence, fatal validation), the ClusterSim health mechanics
  * (crash kill accounting, routing exclusion, straggler slowdowns, the
  * feedback router shifting load away), the spec-level faults block
- * (bind-time rejection, validateSpec), and the bit-identity pin that a
+ * (bind-time rejection, lint), and the bit-identity pin that a
  * no-op faults block leaves the serving engine untouched.
  */
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "cluster/serving.h"
 #include "fault/fault.h"
 #include "model/model_zoo.h"
+#include "scenario/lint.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "sim/cluster_sim.h"
@@ -584,7 +585,7 @@ TEST(ScenarioFaults, CrashAndRecoveryFlowThroughServingLoop)
         EXPECT_LE(iv.provisioned_power_w, 450.0 + 1e-9);
 }
 
-// ---- spec-level faults: bind errors and validateSpec ----------------------
+// ---- spec-level faults: bind errors and lint ------------------------------
 
 TEST(SpecIoFaults, NegativeAndNaNNumbersRejectedAtBindTime)
 {
@@ -675,40 +676,45 @@ TEST(SpecIoFaults, FaultsBlockBindErrorsArePrecise)
               "line 1: unknown key 'mtbf' in faults.events[0]");
 }
 
-TEST(SpecIoFaults, ValidateSpecCatchesSemanticFaultErrors)
+TEST(SpecIoFaults, LintCatchesSemanticFaultErrors)
 {
-    std::string err;
+    auto errors = [](const scenario::ScenarioSpec& s) {
+        std::string out;
+        for (const scenario::Diagnostic& d : scenario::lint(s))
+            if (d.severity == scenario::Severity::Error)
+                out += scenario::formatDiagnostic(d) + "\n";
+        return out;
+    };
     scenario::ScenarioSpec ok = goldenSpec();
     ok.serve.faults.events = {{1.0, 1, 0, HealthState::Failed, 1.0}};
-    EXPECT_TRUE(scenario::validateSpec(ok, &err)) << err;
+    EXPECT_EQ(errors(ok), "");
 
     // Fleet coordinates are only checkable against the spec's fleet,
-    // so they are validateSpec's job, not the binder's.
+    // so they are lint's job, not the binder's.
     scenario::ScenarioSpec bad_fleet = goldenSpec();
     bad_fleet.serve.faults.events = {
         {1.0, 5, 0, HealthState::Failed, 1.0}};
-    EXPECT_FALSE(scenario::validateSpec(bad_fleet, &err));
-    EXPECT_NE(err.find("faults.events[0]"), std::string::npos);
+    EXPECT_NE(errors(bad_fleet).find("faults.events[0]"),
+              std::string::npos);
 
     scenario::ScenarioSpec bad_slot = goldenSpec();
     bad_slot.serve.faults.events = {
         {1.0, 1, 3, HealthState::Failed, 1.0}};
-    EXPECT_FALSE(scenario::validateSpec(bad_slot, &err));
-    EXPECT_NE(err.find("faults.events[0]"), std::string::npos);
+    EXPECT_NE(errors(bad_slot).find("faults.events[0]"),
+              std::string::npos);
 
-    // NaN knobs can only enter through the C++ API; validateSpec
-    // still refuses to run them.
+    // NaN knobs can only enter through the C++ API; lint (and so
+    // run()'s gate) still refuses them.
     scenario::ScenarioSpec nan_knob = goldenSpec();
     nan_knob.serve.faults.crash_mtbf_hours =
         std::numeric_limits<double>::quiet_NaN();
-    EXPECT_FALSE(scenario::validateSpec(nan_knob, &err));
-    EXPECT_NE(err.find("faults"), std::string::npos);
+    EXPECT_NE(errors(nan_knob).find("faults"), std::string::npos);
 
     scenario::ScenarioSpec nan_cap = goldenSpec();
     nan_cap.serve.power_cap_schedule = {
         {0.0, std::numeric_limits<double>::quiet_NaN()}};
-    EXPECT_FALSE(scenario::validateSpec(nan_cap, &err));
-    EXPECT_NE(err.find("power_cap_schedule"), std::string::npos);
+    EXPECT_NE(errors(nan_cap).find("power_cap_schedule"),
+              std::string::npos);
 }
 
 TEST(SpecIoFaults, FaultsBlockRoundTripsCanonically)

@@ -5,9 +5,8 @@
  * C++-seeded defective spec, every seeded-defect file in
  * tests/lint_specs/ yields exactly the one diagnostic its filename
  * names, every shipped .scn in scenarios/ lints to zero diagnostics,
- * every spec validateSpec() rejects lints with an error, and the opt-in
- * `lint` gate in scenario::run() rejects an erroneous spec before
- * profiling.
+ * and scenario::run()'s lint gate dies on every E1xx case, naming its
+ * code, before profiling.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include <filesystem>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/serving.h"
@@ -638,13 +636,16 @@ TEST(Lint, ShippedScenariosLintClean)
     EXPECT_GE(n, 6u) << "shipped scenario library shrank";
 }
 
+// ---- the run() gate ------------------------------------------------------
+
 /**
- * Lint's errors are a superset of validateSpec(): every spec the
- * validateSpec() tests reject (test_scenario, test_fault, test_obs)
- * lints with at least one E1xx, so a lint-clean spec never fatals in
- * scenario::run().
+ * scenario::run() refuses a spec exactly when table-free lint reports
+ * an error: every unrunnable C++-built spec dies in the gate naming its
+ * code, even with a table passed (no profiling to fall back on), so a
+ * lint-clean spec never fatals in scenario::run() for structural
+ * reasons.
  */
-TEST(Lint, ErrorsCoverEveryValidateSpecRejection)
+TEST(LintGateDeathTest, RunDiesNamingEveryErrorCase)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     auto event = [](int fleet, int slot) {
@@ -655,80 +656,85 @@ TEST(Lint, ErrorsCoverEveryValidateSpecRejection)
         e.state = fault::HealthState::Failed;
         return e;
     };
-    std::vector<std::pair<std::string, ScenarioSpec>> cases;
-    auto add = [&](const std::string& what, auto edit) {
+    struct Case
+    {
+        std::string what;
+        std::string code;
+        ScenarioSpec spec;
+    };
+    std::vector<Case> cases;
+    auto add = [&](const std::string& what, const std::string& code,
+                   auto edit) {
         ScenarioSpec s = cleanSpec();
         edit(s);
-        cases.emplace_back(what, s);
+        cases.push_back({what, code, s});
     };
-    add("empty fleet", [](ScenarioSpec& s) { s.fleet.clear(); });
-    add("no services", [](ScenarioSpec& s) { s.services.clear(); });
-    add("negative slots",
+    add("empty fleet", "E101", [](ScenarioSpec& s) { s.fleet.clear(); });
+    add("no services", "E102",
+        [](ScenarioSpec& s) { s.services.clear(); });
+    add("negative slots", "E103",
         [](ScenarioSpec& s) { s.fleet[0].shard_slots = -1; });
-    add("zero interval",
+    add("zero interval", "E104",
         [](ScenarioSpec& s) { s.serve.interval_hours = 0.0; });
-    add("zero horizon",
+    add("zero horizon", "E104",
         [](ScenarioSpec& s) { s.serve.horizon_hours = 0.0; });
-    add("unsorted schedule", [](ScenarioSpec& s) {
+    add("unsorted schedule", "E105", [](ScenarioSpec& s) {
         s.serve.power_cap_schedule = {{2.0, 500.0}, {1.0, 600.0}};
     });
-    add("NaN schedule cap", [&](ScenarioSpec& s) {
+    add("NaN schedule cap", "E105", [&](ScenarioSpec& s) {
         s.serve.power_cap_schedule = {{0.0, nan}};
     });
-    add("NaN fault knob", [&](ScenarioSpec& s) {
+    add("cap below idle", "E106",
+        [](ScenarioSpec& s) { s.serve.power_cap_w = 10.0; });
+    add("NaN fault knob", "E107", [&](ScenarioSpec& s) {
         s.serve.faults.crash_mtbf_hours = nan;
     });
-    add("degrade_slowdown below 1",
+    add("degrade_slowdown below 1", "E108",
         [](ScenarioSpec& s) { s.serve.faults.degrade_slowdown = 0.5; });
-    add("negative event hour", [&](ScenarioSpec& s) {
+    add("negative event hour", "E110", [&](ScenarioSpec& s) {
         s.serve.faults.events = {event(0, 0)};
         s.serve.faults.events[0].t_hours = -1.0;
     });
-    add("fault fleet out of range", [&](ScenarioSpec& s) {
+    add("fault fleet out of range", "E111", [&](ScenarioSpec& s) {
         s.serve.faults.events = {event(5, 0)};
     });
-    add("fault slot out of range", [&](ScenarioSpec& s) {
+    add("fault slot out of range", "E112", [&](ScenarioSpec& s) {
         s.serve.faults.events = {event(0, 3)};
     });
-    add("degraded event slowdown below 1", [&](ScenarioSpec& s) {
+    add("degraded event slowdown below 1", "E113", [&](ScenarioSpec& s) {
         s.serve.faults.events = {event(0, 0)};
         s.serve.faults.events[0].state = fault::HealthState::Degraded;
         s.serve.faults.events[0].slowdown = 0.5;
     });
-    add("sample_rate 1.5", [](ScenarioSpec& s) {
+    add("sample_rate 1.5", "E114", [](ScenarioSpec& s) {
         s.observability.trace_file = "trace.jsonl";
         s.observability.sample_rate = 1.5;
     });
 
-    ASSERT_TRUE(validateSpec(cleanSpec()));
-    for (const auto& [what, spec] : cases) {
-        EXPECT_FALSE(validateSpec(spec)) << what;
-        EXPECT_TRUE(hasErrors(lint(spec))) << what << " lints clean";
+    ASSERT_FALSE(hasErrors(lint(cleanSpec())));
+    const core::EfficiencyTable table = tableWith(true, 100.0, 200.0);
+    for (const Case& c : cases) {
+        EXPECT_NE(findCode(lint(c.spec), c.code), nullptr) << c.what;
+        EXPECT_DEATH(run(c.spec, &table),
+                     "scenario 'clean' rejected by lint gate: .*" +
+                         c.code + " error at ")
+            << c.what;
     }
+    // The message names every error, code and path, in lint's order; a
+    // NaN interval is refused like a zero one.
+    ScenarioSpec two = cleanSpec();
+    two.services.clear();
+    two.serve.interval_hours = nan;
+    EXPECT_DEATH(run(two, &table),
+                 "E102 error at services: .*; E104 error at "
+                 "interval_hours: ");
 }
-
-// ---- the run() gate ------------------------------------------------------
 
 TEST(LintGateDeathTest, RunRejectsErroneousSpecBeforeProfiling)
 {
     ScenarioSpec s = cleanSpec();
-    s.lint = true;
     s.fleet.clear();
     EXPECT_DEATH(run(s), "rejected by lint gate.*E101");
-}
-
-TEST(Lint, SpecKeyRoundTrips)
-{
-    ScenarioSpec s;
-    EXPECT_EQ(toText(s).find("\"lint\""), std::string::npos)
-        << "default-off lint key must not serialize";
-    s.lint = true;
-    std::string text = toText(s);
-    EXPECT_NE(text.find("\"lint\": true"), std::string::npos);
-    std::string err;
-    auto back = parseSpec(text, &err);
-    ASSERT_TRUE(back.has_value()) << err;
-    EXPECT_TRUE(back->lint);
 }
 
 }  // namespace

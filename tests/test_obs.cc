@@ -20,6 +20,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "qos/admission.h"
+#include "scenario/lint.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "sim/cluster_sim.h"
@@ -601,11 +602,16 @@ TEST(SpecIo, ObservabilitySampleRateValidated)
     svc.spec.load.peak_qps = 100.0;
     s.services.push_back(svc);
 
-    std::string err;
-    EXPECT_TRUE(scenario::validateSpec(s, &err)) << err;
+    auto errors = [](const scenario::ScenarioSpec& spec) {
+        std::string out;
+        for (const scenario::Diagnostic& d : scenario::lint(spec))
+            if (d.severity == scenario::Severity::Error)
+                out += scenario::formatDiagnostic(d) + "\n";
+        return out;
+    };
+    EXPECT_EQ(errors(s), "");
     s.observability.sample_rate = 1.5;
-    EXPECT_FALSE(scenario::validateSpec(s, &err));
-    EXPECT_NE(err.find("sample_rate"), std::string::npos);
+    EXPECT_NE(errors(s).find("sample_rate"), std::string::npos);
 }
 
 // ---- writeIntervalArraysJson schema pin ----------------------------------

@@ -25,6 +25,7 @@
 #include "cluster/serving.h"
 #include "fault/fault.h"
 #include "model/model_zoo.h"
+#include "scenario/lint.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 
@@ -91,7 +92,6 @@ expectSameSpec(const ScenarioSpec& a, const ScenarioSpec& b)
     }
     EXPECT_EQ(a.provisioner, b.provisioner);
     EXPECT_EQ(a.nh_seed, b.nh_seed);
-    EXPECT_EQ(a.lint, b.lint);
 
     const cluster::TraceServeOptions& x = a.serve;
     const cluster::TraceServeOptions& y = b.serve;
@@ -202,7 +202,6 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
     s.services.push_back(svc);
     s.provisioner = ProvisionerKind::PriorityAware;
     s.nh_seed = 23;
-    s.lint = true;
     s.serve.router = sim::RouterPolicy::PowerOfTwo;
     s.serve.router_seed = 9;
     s.serve.feedback.gain = 0.2;
@@ -287,7 +286,6 @@ TEST(SpecIo, EveryNonDefaultFieldRoundTrips)
         "  ],\n"
         "  \"provisioner\": \"priority-aware\",\n"
         "  \"nh_seed\": 23,\n"
-        "  \"lint\": true,\n"
         "  \"router\": \"p2c\",\n"
         "  \"router_seed\": 9,\n"
         "  \"feedback\": {\"gain\": 0.2, \"floor_frac\": 0.1},\n"
@@ -417,6 +415,11 @@ TEST(SpecIo, UnknownKeyRejectedWithLineAndContext)
     auto u = parseSpec("{\n  \"horizont\": 3\n}", &err);
     EXPECT_FALSE(u.has_value());
     EXPECT_EQ(err, "line 2: unknown key 'horizont' in scenario");
+
+    // "lint" is no key: run() applies its lint gate to every spec.
+    auto v = parseSpec("{\n  \"name\": \"x\",\n  \"lint\": true\n}", &err);
+    EXPECT_FALSE(v.has_value());
+    EXPECT_EQ(err, "line 3: unknown key 'lint' in scenario");
 }
 
 TEST(SpecIo, UnknownEnumNamesRejected)
@@ -837,30 +840,36 @@ TEST(ScenarioRun, PeakFracResolvesAgainstTable)
     EXPECT_DOUBLE_EQ(spec.services[1].spec.load.peak_qps, 200.0);
 }
 
-TEST(ScenarioRun, ValidateSpecCatchesUnrunnableSpecs)
+TEST(ScenarioRun, LintCatchesUnrunnableSpecs)
 {
-    // The non-fatal twin of run()'s validation: what
-    // `online_serving_sim --scenario` rejects with exit 1 (and lint's
-    // errors cover, pinned in test_lint.cc).
-    std::string err;
-    EXPECT_TRUE(validateSpec(goldenSpec(), &err));
+    // What run() and `online_serving_sim --scenario` refuse: lint's
+    // errors, each named by code and path (every code is pinned in
+    // test_lint.cc).
+    auto errors = [](const ScenarioSpec& s) {
+        std::string out;
+        for (const Diagnostic& d : lint(s))
+            if (d.severity == Severity::Error)
+                out += formatDiagnostic(d) + "\n";
+        return out;
+    };
+    EXPECT_EQ(errors(goldenSpec()), "");
 
     ScenarioSpec unsorted = goldenSpec();
     unsorted.serve.power_cap_schedule = {{2.0, 100.0}, {1.0, 200.0}};
-    EXPECT_FALSE(validateSpec(unsorted, &err));
-    EXPECT_NE(err.find("power_cap_schedule"), std::string::npos);
+    EXPECT_NE(errors(unsorted).find("power_cap_schedule"),
+              std::string::npos);
 
-    EXPECT_FALSE(validateSpec(ScenarioSpec{}, &err));
-    EXPECT_NE(err.find("empty fleet"), std::string::npos);
+    EXPECT_NE(errors(ScenarioSpec{}).find("empty fleet"),
+              std::string::npos);
 
     ScenarioSpec no_services = goldenSpec();
     no_services.services.clear();
-    EXPECT_FALSE(validateSpec(no_services, &err));
-    EXPECT_NE(err.find("no services"), std::string::npos);
+    EXPECT_NE(errors(no_services).find("no services"), std::string::npos);
 
     ScenarioSpec bad_interval = goldenSpec();
     bad_interval.serve.interval_hours = 0.0;
-    EXPECT_FALSE(validateSpec(bad_interval, &err));
+    EXPECT_NE(errors(bad_interval).find("interval_hours"),
+              std::string::npos);
 }
 
 /** @return the value text after `"key": ` at `from`, up to , or }. */
